@@ -19,10 +19,11 @@ from .lattice import (CharCoset, GramLattice, build_catalog, c_bound,
                       char_cosets, enumerate_definite_lattices, m_invariant,
                       qa_verdict)
 from .laurent import Laurent
-from .pipeline import PipelineReport, run_family
+from .pipeline import (PipelineReport, family_member, run_family,
+                       torsion_growth, torsion_kanenobu)
 from .skein import (JonesPolynomial, goeritz_invariants, jones_derivative_at,
                     jones_polynomial, mullins_lambda)
 from .torsion import (TorsionVector, d_invariants, d_lens_oracle,
-                      torsion_from_minor, torsion_growth, torsion_kanenobu)
+                      torsion_from_minor)
 
 __version__ = "0.1.0"

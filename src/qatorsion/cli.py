@@ -11,19 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .covers import (HomologyNotCyclicError, HomologyNotFiniteError,
-                     abelianized_minor, homology_invariants,
-                     kanenobu_presentation)
+                     homology_invariants, kanenobu_presentation)
 from .diagrams import DiagramError, LinkDiagram, kanenobu_diagram
 from .foxcalc import presentation_from_text
 from .lattice import (GramLattice, LatticeError, build_catalog, c_bound,
-                      catalog_from_json, catalog_to_json, m_invariant,
-                      qa_verdict)
-from .pipeline import (PipelineAssertionError, family_casson_walker,
-                       family_parameters, run_family)
+                      catalog_from_json, catalog_to_json, m_invariant)
+from .pipeline import (FamilyRecord, PipelineAssertionError,
+                       family_casson_walker, family_member, run_family)
 from .skein import CrossingBudgetError, jones_polynomial, mullins_lambda
-from .torsion import (DEFAULT_EPSILON, d_invariants, torsion_kanenobu)
+from .torsion import DEFAULT_EPSILON
 
 USAGE_EXIT = 1
 ASSERTION_EXIT = 2
@@ -56,6 +55,14 @@ def _load_catalog(args) -> list[GramLattice]:
         with open(args.catalog) as fh:
             return catalog_from_json(fh.read())
     return build_catalog(25)
+
+
+def _member(args, bound=None) -> tuple[Fraction, FamilyRecord]:
+    """Casson-Walker invariant and checked record of the n-th base-family
+    member."""
+    lam = family_casson_walker(0)
+    epsilon = getattr(args, "epsilon", DEFAULT_EPSILON)
+    return lam, family_member(0, args.n, lam, epsilon, bound)
 
 
 def main(argv=None) -> int:
@@ -133,12 +140,11 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "torsion":
-        tau = torsion_kanenobu(args.n, args.epsilon)
+        tau = _member(args)[1].tau
         text = "\n".join(f"t^{k}: {v}" for k, v in enumerate(tau.values))
         _emit(args, tau.to_json_dict(), text)
     elif args.command == "minor":
-        cover = kanenobu_presentation(*family_parameters(0, args.n))
-        minor = abelianized_minor(cover, 4, 4)
+        minor = _member(args)[1].minor
         _emit(args, minor.to_json_dict(), minor.to_string())
     elif args.command == "homology":
         if args.pres:
@@ -169,11 +175,10 @@ def _dispatch(args) -> int:
         lam = mullins_lambda(_load_diagram(args))
         _emit(args, {"casson_walker": str(lam)}, str(lam))
     elif args.command == "dinv":
-        lam = family_casson_walker(0)
-        tau = torsion_kanenobu(args.n, args.epsilon)
-        d = d_invariants(tau, lam)
-        payload = {"N": tau.modulus, "lambda": str(lam),
-                   "epsilon": tau.unit_ambiguity,
+        lam, record = _member(args)
+        d = record.d_values
+        payload = {"N": record.tau.modulus, "lambda": str(lam),
+                   "epsilon": record.tau.unit_ambiguity,
                    "d": {str(k): str(v) for k, v in d.items()},
                    "note": "defined up to the torsion unit action"}
         text = "\n".join(f"t^{k}: {v}" for k, v in d.items())
@@ -191,12 +196,8 @@ def _dispatch(args) -> int:
         word = "complete" if bound.complete else "incomplete"
         _emit(args, bound.to_json_dict(), f"{bound.value} ({word})")
     elif args.command == "verdict":
-        catalog = _load_catalog(args)
-        bound = c_bound(25, catalog)
-        lam = family_casson_walker(0)
-        tau = torsion_kanenobu(args.n, args.epsilon)
-        d = d_invariants(tau, lam)
-        verdict = qa_verdict(list(d.values()), 25, bound, unit_pinned=False)
+        bound = c_bound(25, _load_catalog(args))
+        verdict = _member(args, bound)[1].verdict
         text = verdict.verdict
         if verdict.conditions_unmet:
             text += " [" + "; ".join(verdict.conditions_unmet) + "]"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Union
 
 from .foxcalc import (FreeWord, Presentation, abelianize_word_derivative,
@@ -75,10 +76,6 @@ class WhiteGraph:
 
     # -- helpers -------------------------------------------------------------
 
-    def end_vertex(self, end_id: int) -> Union[int, str]:
-        edge = self.edges[end_id // 2]
-        return edge[0] if end_id % 2 == 0 else edge[1]
-
     def other_end_vertex(self, end_id: int) -> Union[int, str]:
         edge = self.edges[end_id // 2]
         return edge[1] if end_id % 2 == 0 else edge[0]
@@ -114,15 +111,27 @@ class WhiteGraph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WhiteGraph":
-        edges = tuple((a if a == BOUNDARY else int(a),
-                       b if b == BOUNDARY else int(b), int(s))
-                      for a, b, s in d["edges"])
-        return cls(vertices=int(d["vertices"]), edges=edges,
-                   cyclic=tuple(tuple(int(x) for x in c) for c in d["cyclic"]))
+        if not (isinstance(d, dict) and {"vertices", "edges", "cyclic"} <= set(d)):
+            raise ValueError("a white graph needs 'vertices', 'edges' and 'cyclic'")
+        edges, cyclic = d["edges"], d["cyclic"]
+        if not (type(d["vertices"]) is int and _is_int_rows(cyclic)
+                and _is_int_rows(edges, BOUNDARY)
+                and all(len(e) == 3 and e[2] != BOUNDARY for e in edges)):
+            raise ValueError("white graph fields must be an integer, "
+                             "[a, b, sign] edges and lists of end ids")
+        return cls(vertices=d["vertices"], edges=tuple(tuple(e) for e in edges),
+                   cyclic=tuple(tuple(c) for c in cyclic))
 
     @classmethod
     def from_json(cls, text: str) -> "WhiteGraph":
         return cls.from_json_dict(json.loads(text))
+
+
+def _is_int_rows(rows, *allowed) -> bool:
+    """A list of lists whose entries are ints or one of `allowed`."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(type(x) is int or x in allowed for x in row)
+        for row in rows)
 
 
 @dataclass(frozen=True)
@@ -130,11 +139,14 @@ class BranchedCoverPresentation:
     """Presentation of pi_1 of a double branched cover plus the dual-curve
     homology data used by the torsion formula.
 
-    For white-graph presentations both distinguished generating sets agree:
-    g_i = h_i = ab(a_i) in H_1.  They are filled in by `homology`.
+    factors are the invariant factors > 1 of H_1 (None when H_1 is
+    infinite).  For white-graph presentations both distinguished generating
+    sets agree: g_i = h_i = ab(a_i) in H_1, filled in when H_1 is finite
+    cyclic.
     """
 
     presentation: Presentation
+    factors: Optional[tuple[int, ...]] = None
     g_classes: Optional[tuple[int, ...]] = None
     h_classes: Optional[tuple[int, ...]] = None
 
@@ -159,7 +171,11 @@ def white_graph_presentation(graph: WhiteGraph) -> BranchedCoverPresentation:
     """One generator and one relator per bounded vertex; the relator around
     v is the left-to-right product, in counterclockwise order, of
     (a_j^-1 a_i)^sign for edges to bounded v_j and a_i^sign for edges to the
-    unbounded region."""
+    unbounded region.
+
+    H_1 is computed here, once: the cover carries its invariant factors and,
+    when H_1 is finite cyclic, the generator images as the abelianization
+    assignment and the dual-curve classes."""
     if not graph.is_connected():
         raise ValueError("white graph is disconnected")
     relators: list[FreeWord] = []
@@ -174,26 +190,18 @@ def white_graph_presentation(graph: WhiteGraph) -> BranchedCoverPresentation:
                 parts.append(wpow(wmul(winv(gen(other)), gen(v)), sign))
         relators.append(wmul(*parts) if parts else ())
     pres = Presentation(gens=graph.vertices, relators=tuple(relators))
-    pres = _with_homology_assignment(pres)
-    images = pres.assignment
-    return BranchedCoverPresentation(presentation=pres,
-                                     g_classes=images, h_classes=images)
-
-
-def _with_homology_assignment(pres: Presentation) -> Presentation:
-    """Attach the cyclic abelianization assignment when H_1 is finite cyclic;
-    leave the presentation bare otherwise."""
     try:
         factors, images, modulus = homology_invariants(pres)
     except HomologyNotFiniteError:
-        return pres
-    if images is None:
-        return pres
-    out = Presentation(gens=pres.gens, relators=pres.relators,
-                       assignment=images, modulus=modulus)
-    if not out.check_assignment():
-        raise AssertionError("homology assignment fails to kill a relator")
-    return out
+        return BranchedCoverPresentation(presentation=pres)
+    if images is not None:
+        # attach the cyclic abelianization assignment
+        pres = Presentation(gens=pres.gens, relators=pres.relators,
+                            assignment=images, modulus=modulus)
+        if not pres.check_assignment():
+            raise AssertionError("homology assignment fails to kill a relator")
+    return BranchedCoverPresentation(presentation=pres, factors=tuple(factors),
+                                     g_classes=images, h_classes=images)
 
 
 def homology_invariants(pres: Presentation
@@ -205,6 +213,10 @@ def homology_invariants(pres: Presentation
     Returns (factors > 1, images or None, N or None).  Raises
     HomologyNotFiniteError when H_1 is infinite.
     """
+    if pres.gens > len(pres.relators):
+        # rank(M) <= #relators, so the matrix need not be built
+        raise HomologyNotFiniteError(
+            f"H_1 is infinite (free rank at least {pres.gens - len(pres.relators)})")
     m = presentation_matrix(pres)
     diag, u, _v = smith_normal_form(m)
     rank_deficit = pres.gens - len([d for d in diag if d != 0])
@@ -223,7 +235,7 @@ def homology_invariants(pres: Presentation
     raw = [u[pos][i] % n for i in range(pres.gens)]
     unit = None
     for i in range(pres.gens - 1, -1, -1):
-        if _gcd(raw[i], n) == 1:
+        if gcd(raw[i], n) == 1:
             unit = i
             break
     if unit is None:
@@ -232,12 +244,6 @@ def homology_invariants(pres: Presentation
     inv = pow(raw[unit], -1, n)
     images = tuple((x * inv) % n for x in raw)
     return [n], images, n
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def homology(cover: BranchedCoverPresentation
@@ -316,6 +322,7 @@ def lens_presentation(p: int, q: int = 1) -> BranchedCoverPresentation:
     pres = Presentation(gens=1, relators=(wpow(gen(1), p),),
                         assignment=(1,), modulus=p)
     return BranchedCoverPresentation(presentation=pres,
+                                     factors=(p,) if p > 1 else (),
                                      g_classes=(1,), h_classes=(q % p,))
 
 

@@ -280,10 +280,16 @@ class LinkDiagram:
 
     @classmethod
     def from_text(cls, text: str) -> "LinkDiagram":
-        xs = re.findall(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]", text)
+        """Parse `to_text` output: X[a,b,c,d] entries and optional O[...]
+        orientation and free-loop entries, separated by commas and
+        whitespace.  Anything else is a DiagramError."""
+        end = _PD_TEXT.match(text).end()
+        if end != len(text):
+            raise DiagramError(f"malformed PD text at offset {end}: {text[end:end + 20]!r}")
+        xs = re.findall(_PD_CROSSING, text)
         crossings = [tuple(int(v) for v in m) for m in xs]
-        loops = len(re.findall(r"O\[\s*loop\s*\]", text))
-        olines = re.findall(r"O\[\s*\d+\s*:\s*([0-9,\s]+)\]", text)
+        loops = len(re.findall(_PD_LOOP, text))
+        olines = re.findall(_PD_ORIENTATION, text)
         diagram = cls(crossings, free_loops=loops)
         if olines:
             # verify the cycles are consistent with the derived orientation
@@ -303,6 +309,12 @@ class LinkDiagram:
     def __repr__(self) -> str:
         return (f"LinkDiagram({len(self.crossings)} crossings, "
                 f"{self.n_components()} components)")
+
+
+_PD_CROSSING = r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]"
+_PD_LOOP = r"O\[\s*loop\s*\]"
+_PD_ORIENTATION = r"O\[\s*\d+\s*:\s*([0-9,\s]+)\]"
+_PD_TEXT = re.compile(rf"(?:{_PD_CROSSING}|{_PD_LOOP}|{_PD_ORIENTATION}|[,\s])*")
 
 
 def _cycle_normal(cyc: Sequence[int]) -> tuple[int, ...]:

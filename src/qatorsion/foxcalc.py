@@ -272,6 +272,8 @@ class Presentation:
     modulus: Optional[int] = None
 
     def __post_init__(self):
+        if self.gens < 0:
+            raise ValueError("generator count must be >= 0")
         for r in self.relators:
             for g, _ in r:
                 if g < 1 or g > self.gens:
@@ -302,13 +304,6 @@ def presentation_matrix(p: Presentation) -> list[list[int]]:
 def fox_matrix(p: Presentation) -> list[list[FreeGroupRingElem]]:
     """Matrix with entry (i, j) the Fox derivative of relator j by a_i."""
     return [[fox_derivative(r, i + 1) for r in p.relators] for i in range(p.gens)]
-
-
-def abelianized_fox_matrix(p: Presentation) -> list[list[GroupRingElem]]:
-    if p.assignment is None or p.modulus is None:
-        raise ValueError("presentation carries no finite cyclic assignment")
-    return [[abelianize_word_derivative(r, i + 1, p.assignment, p.modulus)
-             for r in p.relators] for i in range(p.gens)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +427,10 @@ def presentation_to_text(p: Presentation) -> str:
 
 def presentation_from_text(text: str) -> Presentation:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("gens "):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "gens":
         raise ValueError("presentation file must start with a 'gens <g>' line")
-    gens = int(lines[0].split()[1])
+    gens = int(head[1])
     relators: list[FreeWord] = []
     assignment = None
     modulus: Optional[int] = None

@@ -22,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .intmat import invert_rational
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -34,7 +36,7 @@ def _as_fraction(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers (dense lists, index = degree)
+# Dense polynomial helpers (lists of int or Fraction, index = degree)
 # ---------------------------------------------------------------------------
 
 def _poly_trim(p: list) -> list:
@@ -43,7 +45,13 @@ def _poly_trim(p: list) -> list:
     return p
 
 
-def _poly_mul_int(p: Sequence[int], q: Sequence[int]) -> list:
+def _poly_sub(p: list, q: list) -> list:
+    n = max(len(p), len(q))
+    return _poly_trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
+                       for i in range(n)])
+
+
+def _poly_mul(p: Sequence, q: Sequence) -> list:
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -54,25 +62,18 @@ def _poly_mul_int(p: Sequence[int], q: Sequence[int]) -> list:
     return _poly_trim(out)
 
 
-def _poly_divmod_int(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
-    """Exact division of integer polynomials (raises if not exact at a step
-    where the denominator leading coefficient does not divide)."""
+def _poly_divmod(num: Sequence, den: list) -> tuple[list, list]:
+    """Quotient and remainder over Q of num by a trimmed nonzero den; the
+    coefficients of num must be Fractions so that each division is exact."""
     num = list(num)
-    den = _poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
     q = [0] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    while len(_poly_trim(num)) >= len(den):
-        num = _poly_trim(num)
+    while _poly_trim(num) and len(num) >= len(den):
         shift = len(num) - len(den)
-        c, rem = divmod(num[-1], lead)
-        if rem:
-            raise ArithmeticError("non-exact integer polynomial division")
+        c = num[-1] / den[-1]
         q[shift] = c
         for i, b in enumerate(den):
             num[shift + i] -= c * b
-    return _poly_trim(q), _poly_trim(num)
+    return _poly_trim(q), num
 
 
 @lru_cache(maxsize=None)
@@ -82,16 +83,16 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         raise ValueError("conductor must be positive")
     if m == 1:
         return (-1, 1)
-    num = [0] * m + [1]
-    num[0] = -1  # x^m - 1
+    num = [Fraction(0)] * m + [Fraction(1)]
+    num[0] = Fraction(-1)  # x^m - 1
     den = [1]
     for d in range(1, m):
         if m % d == 0:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod_int(num, den)
-    if r:
-        raise ArithmeticError("cyclotomic division left a remainder")
-    return tuple(q)
+            den = _poly_mul(den, cyclotomic_polynomial(d))
+    q, r = _poly_divmod(num, den)
+    if r or any(c.denominator != 1 for c in q):
+        raise ArithmeticError("cyclotomic division is not exact over Z")
+    return tuple(int(c) for c in q)
 
 
 def euler_phi(m: int) -> int:
@@ -217,12 +218,12 @@ class CyclotomicNumber:
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
         a = list(self.coords)
         # extended gcd of a and Phi over Q[x]; gcd is a nonzero constant
-        r0, r1 = phi, _qtrim(list(a))
+        r0, r1 = phi, _poly_trim(list(a))
         s0, s1 = [], [Fraction(1)]
-        while _qdeg(r1) > 0:
-            q, r = _qdivmod(r0, r1)
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _qsub(s0, _qmul(q, s1))
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if not r1:
             raise ZeroDivisionError("element is a zero divisor mod Phi (impossible in a field)")
         c = r1[0]
@@ -254,48 +255,6 @@ def _reduce_mod_phi(coords: Sequence[Fraction], m: int) -> list[Fraction]:
     out = out[:deg]
     out += [Fraction(0)] * (deg - len(out))
     return out
-
-
-# rational polynomial helpers for the extended Euclid above
-def _qtrim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _qdeg(p: list) -> int:
-    return len(p) - 1
-
-
-def _qsub(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else Fraction(0)) - (q[i] if i < len(q) else Fraction(0))
-           for i in range(n)]
-    return _qtrim(out)
-
-
-def _qmul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _qtrim(out)
-
-
-def _qdivmod(num: list, den: list) -> tuple[list, list]:
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while _qtrim(num) and len(num) >= len(den):
-        shift = len(num) - len(den)
-        c = num[-1] / den[-1]
-        q[shift] = c
-        for i, b in enumerate(den):
-            num[shift + i] -= c * b
-        num = _qtrim(num)
-    return _qtrim(q), _qtrim(num)
 
 
 # ---------------------------------------------------------------------------
@@ -518,26 +477,8 @@ def _decomposition_matrix_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
             for i in range(deg):
                 mat[base + i][k] = row[i]
             base += deg
-    inv = _invert_rational_matrix(mat)
+    inv = invert_rational(mat)
     return tuple(tuple(r) for r in inv)
-
-
-def _invert_rational_matrix(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def phi_decompose(x: GroupRingElem) -> dict[int, CyclotomicNumber]:

@@ -201,13 +201,6 @@ def invert_rational(m) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def solve_rational(m, rhs) -> list[Fraction]:
-    """Solve M x = rhs exactly for square nonsingular M."""
-    inv = invert_rational(m)
-    return [sum((inv[i][j] * Fraction(rhs[j]) for j in range(len(rhs))), Fraction(0))
-            for i in range(len(rhs))]
-
-
 def symmetric_signature(m) -> int:
     """Signature (#positive - #negative eigenvalues) of a symmetric matrix,
     computed exactly by congruence reduction over Q.

@@ -51,7 +51,11 @@ class GramLattice:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GramLattice":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        if not (isinstance(rows, (list, tuple)) and all(
+                isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
+                for row in rows)):
+            raise LatticeError("a Gram matrix must be a list of rows of integers")
+        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def rank_zero(cls) -> "GramLattice":
@@ -78,11 +82,17 @@ class GramLattice:
         return {"rank": self.rank, "gram": [list(r) for r in self.gram]}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "GramLattice":
-        rows = d["gram"] if isinstance(d, dict) else d
-        if isinstance(d, dict) and "rank" in d and int(d["rank"]) != len(rows):
+    def from_json_dict(cls, d) -> "GramLattice":
+        """A Gram object {"rank": r, "gram": rows}, rank optional, or a bare
+        list of rows."""
+        if not isinstance(d, dict):
+            return cls.from_rows(d)
+        if "gram" not in d:
+            raise LatticeError("a Gram object needs a 'gram' field")
+        lat = cls.from_rows(d["gram"])
+        if "rank" in d and not (type(d["rank"]) is int and d["rank"] == lat.rank):
             raise LatticeError("rank field disagrees with the Gram matrix")
-        return cls.from_rows(rows)
+        return lat
 
 
 @dataclass(frozen=True)
@@ -435,6 +445,8 @@ def build_catalog(disc: int, max_rank: Optional[int] = None) -> list[GramLattice
 def c_bound(disc: int, catalog: Sequence[GramLattice]) -> CBound:
     """Minimum m over the catalog; complete only when the catalog can cover
     all ranks 0..D-1 (i.e. D-1 <= the certified enumeration rank)."""
+    if disc < 1:
+        raise LatticeError(f"the determinant must be >= 1, got {disc}")
     for lat in catalog:
         if lat.disc != disc:
             raise LatticeError(f"catalog member has disc {lat.disc}, expected {disc}")
@@ -521,4 +533,6 @@ def catalog_to_json(catalog: Sequence[GramLattice]) -> str:
 
 def catalog_from_json(text: str) -> list[GramLattice]:
     data = json.loads(text)
+    if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
+        raise LatticeError("a catalog must be a JSON list of Gram objects")
     return [GramLattice.from_json_dict(d) for d in data]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .diagrams import DiagramError, End, LinkDiagram
+from .diagrams import DiagramError, LinkDiagram
 from .intmat import symmetric_signature
 from .laurent import Laurent
 
@@ -159,49 +159,6 @@ def kauffman_bracket(diagram: LinkDiagram) -> Laurent:
     total = total * (LOOP ** diagram.free_loops)
     return total.divide_exact(LOOP)
 
-
-def kauffman_bracket_naive(diagram: LinkDiagram) -> Laurent:
-    """2^c state-sum bracket; the independent oracle for small diagrams."""
-    n = len(diagram.crossings)
-    if n == 0:
-        return LOOP ** (diagram.free_loops - 1) if diagram.free_loops else Laurent.one()
-    total = Laurent.zero()
-    for mask in range(1 << n):
-        parent: dict[End, End] = {}
-
-        def find(x: End) -> End:
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(x: End, y: End) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        a_count = 0
-        for ci in range(n):
-            if mask & (1 << ci):
-                a_count += 1
-                pairs = A_SMOOTHING
-            else:
-                pairs = B_SMOOTHING
-            for s1, s2 in pairs:
-                union((ci, s1), (ci, s2))
-        for e1, e2 in diagram._occurrences.values():
-            union(e1, e2)
-        loops = len({find((ci, k)) for ci in range(n) for k in range(4)})
-        total = total + Laurent.term(2 * a_count - n) * (LOOP ** loops)
-    total = total * (LOOP ** diagram.free_loops)
-    return total.divide_exact(LOOP)
-
-
-# ---------------------------------------------------------------------------
-# Jones polynomial
-# ---------------------------------------------------------------------------
 
 class JonesPolynomial:
     """V_L as a Laurent polynomial in u = t^(1/2); exponents are stored in
@@ -395,10 +352,6 @@ def goeritz_invariants_black(diagram: LinkDiagram) -> tuple[int, int]:
 
 def link_determinant(diagram: LinkDiagram) -> int:
     return goeritz_invariants(diagram)[1]
-
-
-def link_signature(diagram: LinkDiagram) -> int:
-    return goeritz_invariants(diagram)[2]
 
 
 # ---------------------------------------------------------------------------

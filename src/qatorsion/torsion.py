@@ -1,5 +1,5 @@
 """Torsion vectors of rational homology spheres with finite cyclic H_1,
-their growth along the twist family, and correction terms.
+and correction terms.
 
 The torsion lives in Q[H], H = Z/N, normalised so the coefficient sum
 (the trivial-character component) vanishes.  It is computed from a single
@@ -11,8 +11,8 @@ for every divisor d > 1 of N, where g and h are the homology classes of
 the distinguished dual curves.  The units eps_d are not determined by this
 computation; every reported vector carries a machine-readable record of
 the convention used, and the headline conclusions (affine growth in the
-twist parameter, divergence of the minimum) are invariant under the whole
-unit action tau -> +-t^k tau.
+twist parameter, divergence of the minimum; see `pipeline`) are invariant
+under the whole unit action tau -> +-t^k tau.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
-from .covers import (BranchedCoverPresentation, abelianized_minor,
-                     kanenobu_presentation, lens_presentation)
+from .covers import abelianized_minor, lens_presentation
 from .groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
                         phi_at_divisor, phi_reconstruct_divisors)
 
@@ -79,10 +79,6 @@ class TorsionVector:
             raise ValueError("modulus mismatch")
         return TorsionVector(self.modulus,
                              tuple(a - b for a, b in zip(self.values, other.values)),
-                             self.unit_ambiguity)
-
-    def scale_int(self, c: int) -> "TorsionVector":
-        return TorsionVector(self.modulus, tuple(c * v for v in self.values),
                              self.unit_ambiguity)
 
     def is_zero(self) -> bool:
@@ -169,80 +165,12 @@ def torsion_from_minor(minor: GroupRingElem, g_class: int, h_class: int,
     return TorsionVector.from_group_ring(x, label)
 
 
-def torsion_of_cover(cover: BranchedCoverPresentation, r: int, s: int,
-                     epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
-    """Torsion from the (r, s) minor of a branched-cover presentation."""
-    if cover.g_classes is None or cover.h_classes is None:
-        raise ValueError("presentation lacks dual-curve class data")
-    minor = abelianized_minor(cover, r, s)
-    return torsion_from_minor(minor, cover.g_classes[r - 1],
-                              cover.h_classes[s - 1], epsilon)
-
-
-def torsion_kanenobu(n: int, epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
-    """Torsion of the branched double cover of K_{-10n,10n+3} via the (4,4)
-    minor, with g = h = t."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    cover = kanenobu_presentation(-10 * n, 10 * n + 3)
-    return torsion_of_cover(cover, 4, 4, epsilon)
-
-
 def torsion_lens(p: int, q: int, epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
     """Torsion of the lens space L(p, q) from its genus-one presentation:
     the minor is the empty determinant 1 and the dual classes are t, t^q."""
     cover = lens_presentation(p, q)
     minor = abelianized_minor(cover, 1, 1)
     return torsion_from_minor(minor, 1, q, epsilon)
-
-
-# ---------------------------------------------------------------------------
-# Growth along the twist family
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TorsionGrowthReport:
-    n_max: int
-    epsilon: str
-    min_values: tuple[Fraction, ...]     # min coefficient of tau_n, n = 0..n_max
-    delta: TorsionVector                 # tau_{n+1} - tau_n (constant in n)
-    affine: bool                         # tau_n == tau_0 + n*delta exactly
-    delta_min: Fraction
-    decreasing_from: Optional[int]       # min is strictly decreasing for n >= this
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "epsilon": self.epsilon,
-            "min_tau": [str(v) for v in self.min_values],
-            "delta": {str(k): str(v) for k, v in enumerate(self.delta.values)},
-            "affine": self.affine,
-            "delta_min": str(self.delta_min),
-            "strictly_decreasing_from": self.decreasing_from,
-        }
-
-
-def torsion_growth(n_max: int, epsilon: str = DEFAULT_EPSILON) -> TorsionGrowthReport:
-    """Check tau_n = tau_0 + n * delta exactly and report the minimum
-    coefficients; delta has zero sum and a negative minimum, so the minimum
-    of tau_n eventually decreases without bound."""
-    if n_max < 2:
-        raise ValueError("need n_max >= 2 to see the growth")
-    taus = [torsion_kanenobu(n, epsilon) for n in range(n_max + 1)]
-    delta = taus[1] - taus[0]
-    affine = all(
-        taus[n].values == tuple(t0 + n * d for t0, d in zip(taus[0].values, delta.values))
-        for n in range(n_max + 1))
-    mins = tuple(t.min_value() for t in taus)
-    decreasing_from = None
-    for start in range(n_max):
-        if all(mins[m + 1] < mins[m] for m in range(start, n_max)):
-            decreasing_from = start
-            break
-    return TorsionGrowthReport(
-        n_max=n_max, epsilon=epsilon, min_values=mins, delta=delta,
-        affine=affine, delta_min=delta.min_value(),
-        decreasing_from=decreasing_from)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +199,7 @@ def d_lens_oracle(p: int, q: int) -> list[Fraction]:
         return [Fraction(0)]
     if not (0 < q < p):
         raise ValueError("need 0 < q < p")
-    if _gcd(p, q) != 1:
+    if gcd(p, q) != 1:
         raise ValueError("need gcd(p, q) = 1")
 
     def rec(p_: int, q_: int, i: int) -> Fraction:
@@ -281,12 +209,6 @@ def d_lens_oracle(p: int, q: int) -> list[Fraction]:
         return base - rec(q_, p_ % q_, i % q_)
 
     return [rec(p, q, i) for i in range(p)]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def lens_casson_walker(p: int, q: int) -> Fraction:

@@ -10,6 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from qatorsion.diagrams import End, LinkDiagram
+from qatorsion.laurent import Laurent
+from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP
+
 
 # ---------------------------------------------------------------------------
 # Group-ring convolution, the slow way
@@ -270,3 +274,52 @@ def det_laplace(m) -> int:
         minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
         total += (-1) ** j * m[0][j] * det_laplace(minor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Kauffman bracket by the full state sum (the package's Laurent arithmetic
+# and PD arc pairing, but none of its sweep)
+# ---------------------------------------------------------------------------
+
+def kauffman_bracket_naive(diagram: LinkDiagram) -> Laurent:
+    """2^c state-sum bracket; the independent oracle for small diagrams."""
+    n = len(diagram.crossings)
+    if n == 0:
+        return LOOP ** (diagram.free_loops - 1) if diagram.free_loops else Laurent.one()
+    total = Laurent.zero()
+    for mask in range(1 << n):
+        parent: dict[End, End] = {}
+
+        def find(x: End) -> End:
+            root = x
+            while parent.get(root, root) != root:
+                root = parent[root]
+            while parent.get(x, x) != x:
+                parent[x], x = root, parent[x]
+            return root
+
+        def union(x: End, y: End) -> None:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+
+        a_count = 0
+        for ci in range(n):
+            if mask & (1 << ci):
+                a_count += 1
+                pairs = A_SMOOTHING
+            else:
+                pairs = B_SMOOTHING
+            for s1, s2 in pairs:
+                union((ci, s1), (ci, s2))
+        for e1, e2 in diagram._occurrences.values():
+            union(e1, e2)
+        loops = len({find((ci, k)) for ci in range(n) for k in range(4)})
+        total = total + Laurent.term(2 * a_count - n) * (LOOP ** loops)
+    total = total * (LOOP ** diagram.free_loops)
+    return total.divide_exact(LOOP)
+
+
+# ---------------------------------------------------------------------------
+# Jones polynomial
+# ---------------------------------------------------------------------------

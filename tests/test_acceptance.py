@@ -22,11 +22,11 @@ from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, c_bound,
                                enumerate_definite_lattices, GramLattice,
                                m_invariant, qa_verdict)
 from qatorsion.laurent import Laurent
-from qatorsion.pipeline import family_casson_walker, run_family
+from qatorsion.pipeline import (family_casson_walker, run_family,
+                                torsion_growth, torsion_kanenobu)
 from qatorsion.skein import (goeritz_invariants, jones_derivative_at,
                              jones_polynomial, mullins_lambda)
-from qatorsion.torsion import (d_invariants, d_lens_oracle, torsion_growth,
-                               torsion_kanenobu, torsion_lens)
+from qatorsion.torsion import d_invariants, d_lens_oracle, torsion_lens
 
 from oracles import (brute_m_invariant, evaluate_vector_at_character,
                      lens_character_value)

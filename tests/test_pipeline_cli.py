@@ -225,7 +225,7 @@ def test_cli_epsilon_override(capsys):
                            "--epsilon=-t^3")
     assert code == 0
     data = json.loads(out)
-    from qatorsion.torsion import torsion_kanenobu
+    from qatorsion.pipeline import torsion_kanenobu
     want = torsion_kanenobu(0).apply_unit(-1, 3)
     assert [Fraction(data["tau"][str(k)]) for k in range(25)] == list(want.values)
 
@@ -241,3 +241,88 @@ def test_cli_assertion_failure_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert "assertion failed" in err and "minor" in err
+
+
+# ---------------------------------------------------------------------------
+# One checked path per family member
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def small_catalog(tmp_path):
+    """The one-lattice catalog <-25>; it attains the same C(25) = -6 as the
+    full rank <= 4 catalog at a fraction of the cost."""
+    path = tmp_path / "c25.json"
+    path.write_text(json.dumps([{"rank": 1, "gram": [[-25]]}]))
+    return path
+
+
+def test_cli_member_subcommands_read_the_family_record(capsys, small_catalog):
+    from qatorsion.lattice import catalog_from_json
+    report = run_family(0, range(0, 13),
+                        catalog=catalog_from_json(small_catalog.read_text()))
+    for r in report.records:
+        n = str(r.n)
+
+        def cli_json(*argv):
+            code, out, _ = run_cli(capsys, "--format", "json", *argv, "--n", n)
+            assert code == 0
+            return json.loads(out)
+
+        assert cli_json("torsion") == r.tau.to_json_dict()
+        assert cli_json("minor") == r.minor.to_json_dict()
+        dinv = cli_json("dinv")
+        assert dinv["lambda"] == str(report.casson_walker)
+        assert dinv["d"] == {str(k): str(v) for k, v in r.d_values.items()}
+        assert (cli_json("verdict", "--catalog", str(small_catalog))
+                == r.verdict.to_json_dict())
+
+
+def test_cli_verdict_runs_the_member_checks(capsys, monkeypatch, small_catalog):
+    import qatorsion.pipeline as pipeline
+
+    real = pipeline.goeritz_invariants
+
+    def wrong_determinant(diagram):
+        g, det, sig = real(diagram)
+        return g, det + 1, sig
+
+    monkeypatch.setattr(pipeline, "goeritz_invariants", wrong_determinant)
+    code, _out, err = run_cli(capsys, "verdict", "--n", "8",
+                              "--catalog", str(small_catalog))
+    assert code == 2
+    assert "assertion failed" in err and "determinant 26 != 25" in err
+
+
+# ---------------------------------------------------------------------------
+# Malformed input files exit 1 with a message
+# ---------------------------------------------------------------------------
+
+def test_cli_pd_with_malformed_entry_is_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.pd"
+    path.write_text("X[1,1,2,2], X[3,4]")
+    code, out, err = run_cli(capsys, "jones", "--pd", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "X[3,4]" in err
+
+
+def test_cli_gram_with_fractional_entry_is_rejected(tmp_path, capsys):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"rank": 1, "gram": [[-1.5]]}))
+    code, out, err = run_cli(capsys, "mlattice", "--gram", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "integers" in err
+
+
+def test_cli_catalog_that_is_a_bare_matrix_is_rejected(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text("[[-25]]")
+    code, out, err = run_cli(capsys, "verdict", "--n", "0",
+                             "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Gram objects" in err
+
+
+def test_cli_cbound_needs_a_positive_determinant(capsys):
+    code, out, err = run_cli(capsys, "cbound", "--det", "0")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: the determinant must be >= 1, got 0"

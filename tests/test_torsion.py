@@ -6,12 +6,12 @@ import pytest
 
 from qatorsion.covers import abelianized_minor, kanenobu_presentation
 from qatorsion.groupring import GroupRingElem
+from qatorsion.pipeline import torsion_growth, torsion_kanenobu
 from qatorsion.torsion import (DEFAULT_EPSILON, TorsionPreconditionError,
                                TorsionVector, d_invariants, d_lens_oracle,
                                lens_casson_walker,
                                multiset_matches_up_to_unit, parse_epsilon,
-                               torsion_from_minor, torsion_growth,
-                               torsion_kanenobu, torsion_lens)
+                               torsion_from_minor, torsion_lens)
 
 from oracles import torsion_linear_system_oracle
 
