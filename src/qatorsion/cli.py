@@ -149,10 +149,16 @@ def _dispatch(args) -> int:
     elif args.command == "homology":
         if args.pres:
             with open(args.pres) as fh:
-                pres = presentation_from_text(fh.read())
+                factors, images, modulus = homology_invariants(
+                    presentation_from_text(fh.read()))
         else:
-            pres = kanenobu_presentation(*args.kanenobu).presentation
-        factors, images, modulus = homology_invariants(pres)
+            # the cover already carries H_1; only an infinite H_1 (no
+            # factors) goes back to raise with its free rank
+            cover = kanenobu_presentation(*args.kanenobu)
+            if cover.factors is None:
+                homology_invariants(cover.presentation)
+            factors, images, modulus = (list(cover.factors), cover.g_classes,
+                                        cover.modulus)
         if not factors:
             group = "trivial"
         else:

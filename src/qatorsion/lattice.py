@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Optional, Sequence
@@ -93,6 +94,36 @@ class GramLattice:
         if "rank" in d and not (type(d["rank"]) is int and d["rank"] == lat.rank):
             raise LatticeError("rank field disagrees with the Gram matrix")
         return lat
+
+    @cached_property
+    def _short_vectors(self) -> "_ShortVectors":
+        return _ShortVectors(self)
+
+
+class _ShortVectors:
+    """The nonzero vectors of a lattice up to some norm (for the positive
+    form -G), grouped by norm, each paired with its image (-G) v.  The
+    search radius only grows, and only when a caller asks for more."""
+
+    def __init__(self, lattice: GramLattice):
+        self._form = [[-x for x in row] for row in lattice.gram]
+        self._radius = 0
+        self._by_norm: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+
+    def within(self, radius: int
+               ) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+        if radius > self._radius:
+            by_norm: dict[int, list] = {}
+            for v in enumerate_in_ellipsoid(self._form, Fraction(radius)):
+                if any(v):
+                    image = tuple(_dot(row, v) for row in self._form)
+                    by_norm.setdefault(_dot(v, image), []).append((v, image))
+            self._by_norm, self._radius = by_norm, radius
+        return self._by_norm
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -310,6 +341,10 @@ _REDUCTION_PRODUCT_BOUND = {0: Fraction(1), 1: Fraction(1), 2: Fraction(4, 3),
 
 MAX_COMPLETE_RANK = 4
 
+# The dedupe compares a candidate only with the classes whose counts of
+# vectors of norm 1..ISOMETRY_KEY_NORMS agree with its own.
+ISOMETRY_KEY_NORMS = 3
+
 
 def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
     """All negative-definite integral lattices of the given rank and
@@ -318,7 +353,9 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
     Completeness for rank <= 4 comes from the classical reduction bounds:
     a Minkowski-reduced positive form has sorted diagonal with
     2|a_ij| <= a_ii and diagonal product at most c_r * disc.  The scan
-    covers that region and deduplicates by isometry.
+    covers that region and deduplicates by isometry, testing each candidate
+    only against the classes with the same short-vector counts (an isometry
+    invariant).  Each class is the first member of it the scan meets.
     """
     if rank > MAX_COMPLETE_RANK:
         raise LatticeError(
@@ -328,7 +365,7 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
     if rank == 0:
         return [GramLattice.rank_zero()] if disc == 1 else []
     bound = _REDUCTION_PRODUCT_BOUND[rank] * disc
-    found: list[GramLattice] = []
+    buckets: dict[tuple[int, ...], list[GramLattice]] = {}
 
     def diag_scan(i: int, diag: list[int], prod: int):
         if i == rank:
@@ -353,8 +390,9 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
             if k == len(positions):
                 if det_bareiss(mat) == disc and _is_positive_definite(mat):
                     neg = GramLattice.from_rows([[-x for x in row] for row in mat])
-                    if not any(lattices_isometric(neg, other) for other in found):
-                        found.append(neg)
+                    bucket = buckets.setdefault(_isometry_key(neg), [])
+                    if not any(lattices_isometric(neg, other) for other in bucket):
+                        bucket.append(neg)
                 return
             i, j = positions[k]
             half = min(diag[i], diag[j]) // 2
@@ -364,8 +402,8 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
             mat[i][j] = mat[j][i] = 0
 
         fill(0)
-    found.sort(key=lambda lat: lat.gram)
-    return found
+    return sorted((lat for bucket in buckets.values() for lat in bucket),
+                  key=lambda lat: lat.gram)
 
 
 def _is_positive_definite(m: list[list[int]]) -> bool:
@@ -375,38 +413,40 @@ def _is_positive_definite(m: list[list[int]]) -> bool:
     return True
 
 
+def _isometry_key(lattice: GramLattice) -> tuple[int, ...]:
+    """The number of vectors of each norm 1..ISOMETRY_KEY_NORMS."""
+    by_norm = lattice._short_vectors.within(ISOMETRY_KEY_NORMS)
+    return tuple(len(by_norm.get(n, ())) for n in range(1, ISOMETRY_KEY_NORMS + 1))
+
+
 def lattices_isometric(a: GramLattice, b: GramLattice) -> bool:
-    """Exact isometry test by matching basis vectors to equal-norm vectors."""
+    """Exact isometry test: map a's basis vectors, in order, to vectors of b
+    with the same norms and pairwise products, and accept a unimodular
+    choice.  b's short vectors are enumerated once and kept with b."""
     if a.rank != b.rank or a.disc != b.disc:
         return False
     r = a.rank
     if r == 0:
         return True
-    pos_b = [[-x for x in row] for row in b.gram]
-    max_norm = max(-a.gram[i][i] for i in range(r))
-    candidates = [v for v in enumerate_in_ellipsoid(
-        [[Fraction(x) for x in row] for row in pos_b], Fraction(max_norm))
-        if any(v)]
-
-    def q_b(u, v) -> int:
-        return sum(u[i] * pos_b[i][j] * v[j] for i in range(r) for j in range(r))
-
     pos_a = [[-x for x in row] for row in a.gram]
+    by_norm = b._short_vectors.within(max(pos_a[k][k] for k in range(r)))
+    shells = [by_norm.get(pos_a[k][k], ()) for k in range(r)]
     chosen: list[tuple[int, ...]] = []
+    images: list[tuple[int, ...]] = []
 
     def extend(k: int) -> bool:
         if k == r:
-            mat = [list(v) for v in chosen]
-            return abs(det_bareiss(mat)) == 1
-        for v in candidates:
-            if q_b(v, v) != pos_a[k][k]:
-                continue
-            if any(q_b(v, chosen[i]) != pos_a[k][i] for i in range(k)):
+            return abs(det_bareiss([list(v) for v in chosen])) == 1
+        row = pos_a[k]
+        for v, image in shells[k]:
+            if any(_dot(v, images[i]) != row[i] for i in range(k)):
                 continue
             chosen.append(v)
+            images.append(image)
             if extend(k + 1):
                 return True
             chosen.pop()
+            images.pop()
         return False
 
     return extend(0)
@@ -435,6 +475,8 @@ class CBound:
 def build_catalog(disc: int, max_rank: Optional[int] = None) -> list[GramLattice]:
     """All definite lattices with disc = D and rank < D, for ranks up to
     min(D-1, max rank the enumeration can certify)."""
+    if disc < 1:
+        raise LatticeError(f"the determinant must be >= 1, got {disc}")
     top = min(disc - 1, MAX_COMPLETE_RANK if max_rank is None else max_rank)
     catalog: list[GramLattice] = []
     for r in range(0, top + 1):

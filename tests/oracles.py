@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import isqrt
 
 from qatorsion.diagrams import End, LinkDiagram
+from qatorsion.lattice import GramLattice, enumerate_in_ellipsoid
 from qatorsion.laurent import Laurent
 from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP
 
@@ -274,6 +275,91 @@ def det_laplace(m) -> int:
         minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
         total += (-1) ** j * m[0][j] * det_laplace(minor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Definite lattices by the pairwise dedupe: every scanned form is tested for
+# isometry against every class found so far, and each test enumerates the
+# other lattice's short vectors afresh
+# ---------------------------------------------------------------------------
+
+_PAIRWISE_PRODUCT_BOUND = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
+                           4: Fraction(4)}
+
+
+def pairwise_definite_lattices(rank: int, disc: int) -> list:
+    """The same reduced-form scan as the package, deduplicated pairwise;
+    classes are the first scanned member, sorted by Gram matrix."""
+    if rank == 0:
+        return [GramLattice.rank_zero()] if disc == 1 else []
+    bound = _PAIRWISE_PRODUCT_BOUND[rank] * disc
+    found: list = []
+
+    def diag_scan(i, diag, prod):
+        if i == rank:
+            yield list(diag)
+            return
+        a = diag[-1] if diag else 1
+        while prod * a ** (rank - i) <= bound:
+            yield from diag_scan(i + 1, diag + [a], prod * a)
+            a += 1
+
+    positions = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    for diag in diag_scan(0, [], 1):
+        mat = [[diag[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+        def fill(k):
+            if k == len(positions):
+                if det_laplace(mat) == disc and all(
+                        det_laplace([row[:t] for row in mat[:t]]) > 0
+                        for t in range(1, rank + 1)):
+                    neg = GramLattice.from_rows([[-x for x in row] for row in mat])
+                    if not any(pairwise_isometric(neg, f) for f in found):
+                        found.append(neg)
+                return
+            i, j = positions[k]
+            half = min(diag[i], diag[j]) // 2
+            for v in range(-half, half + 1):
+                mat[i][j] = mat[j][i] = v
+                fill(k + 1)
+            mat[i][j] = mat[j][i] = 0
+
+        fill(0)
+    return sorted(found, key=lambda lat: lat.gram)
+
+
+def pairwise_isometric(a, b) -> bool:
+    """Match a's basis to b's vectors of equal norms and products, drawing
+    candidates from every nonzero vector of b up to a's largest norm."""
+    r = a.rank
+    if r != b.rank or abs(det_laplace(a.gram)) != abs(det_laplace(b.gram)):
+        return False
+    if r == 0:
+        return True
+    pos_a = [[-x for x in row] for row in a.gram]
+    pos_b = [[-x for x in row] for row in b.gram]
+    radius = max(pos_a[i][i] for i in range(r))
+    candidates = [v for v in enumerate_in_ellipsoid(pos_b, Fraction(radius))
+                  if any(v)]
+
+    def q_b(u, v):
+        return sum(u[i] * pos_b[i][j] * v[j] for i in range(r) for j in range(r))
+
+    chosen: list = []
+
+    def extend(k):
+        if k == r:
+            return abs(det_laplace(chosen)) == 1
+        for v in candidates:
+            if q_b(v, v) == pos_a[k][k] and all(
+                    q_b(v, chosen[i]) == pos_a[k][i] for i in range(k)):
+                chosen.append(v)
+                if extend(k + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------

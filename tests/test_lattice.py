@@ -1,8 +1,11 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qatorsion.intmat import identity, mat_mul, transpose
 from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
@@ -14,7 +17,8 @@ from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
                                lattices_isometric, m_invariant, qa_verdict)
 from qatorsion.torsion import d_lens_oracle
 
-from oracles import brute_coset_maxima, brute_m_invariant
+from oracles import (brute_coset_maxima, brute_m_invariant,
+                     pairwise_definite_lattices)
 
 NEG_E8 = GramLattice.from_rows([
     [-2, 1, 0, 0, 0, 0, 0, 0],
@@ -164,6 +168,52 @@ def test_isometry_detects_diagonal_reordering():
     b = GramLattice.diagonal([-4, -1])
     assert lattices_isometric(a, b)
     assert not lattices_isometric(a, GramLattice.diagonal([-2, -2]))
+
+
+def test_enumeration_equals_the_pairwise_dedupe():
+    cases = [(rank, disc) for rank in (1, 2, 3) for disc in range(1, 26)]
+    cases += [(4, disc) for disc in (1, 2, 3, 6, 7, 10, 14)]
+    for rank, disc in cases:
+        got = [lat.gram for lat in enumerate_definite_lattices(rank, disc)]
+        want = [lat.gram for lat in pairwise_definite_lattices(rank, disc)]
+        assert got == want, (rank, disc)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_isometry_key_and_test_survive_a_basis_change(catalog25_session, data):
+    from qatorsion.lattice import _isometry_key
+    lat = data.draw(st.sampled_from(catalog25_session[0]))
+    r = lat.rank
+    perm = data.draw(st.permutations(range(r)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=r, max_size=r))
+    u = [[signs[i] * int(perm[i] == j) for j in range(r)] for i in range(r)]
+    moves = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1),
+                      st.sampled_from((1, -1)))
+    for i, j, c in data.draw(st.lists(moves, max_size=2)):
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    moved = GramLattice.from_rows(
+        mat_mul(mat_mul(u, [list(row) for row in lat.gram]), transpose(u)))
+    fresh = GramLattice(lat.gram)  # short vectors of its own, not the fixture's
+    assert _isometry_key(moved) == _isometry_key(fresh)
+    assert lattices_isometric(moved, fresh)
+    assert lattices_isometric(fresh, moved)
+
+
+def test_catalog25_classes_are_pairwise_non_isometric(catalog25_session):
+    catalog = [GramLattice(lat.gram) for lat in catalog25_session[0]]
+    pairs = [(a, b) for a in catalog for b in catalog if a is not b]
+    assert len(catalog) == 20 and len(pairs) == 380
+    assert not any(lattices_isometric(a, b) for a, b in pairs)
+
+
+def test_build_catalog25_within_budget():
+    start = time.perf_counter()
+    catalog = build_catalog(25)
+    elapsed = time.perf_counter() - start
+    assert len(catalog) == 20
+    assert elapsed < 8.0, f"build_catalog(25) took {elapsed:.2f}s, budget 8s"
 
 
 def test_c_bound_examples():

@@ -110,6 +110,23 @@ def test_cli_homology_text(capsys):
     assert out.strip() == "Z/25; a1->t^13 a2->t^3 a3->t^6 a4->t"
 
 
+def test_cli_homology_kanenobu_runs_one_smith_normal_form(capsys, monkeypatch):
+    import qatorsion.covers as covers
+    real = covers.smith_normal_form
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return real(m)
+
+    monkeypatch.setattr(covers, "smith_normal_form", counted)
+    for p, q, group in (("3", "-2", "Z/5 + Z/5"), ("-10", "13", "Z/25; ")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "homology", "--kanenobu", p, q)
+        assert code == 0 and out.startswith(group)
+        assert len(calls) == 1, (p, q)
+
+
 def test_cli_homology_pres_file(tmp_path, capsys):
     pres = kanenobu_presentation(-10, 13).presentation
     path = tmp_path / "pres.txt"
@@ -326,3 +343,10 @@ def test_cli_cbound_needs_a_positive_determinant(capsys):
     code, out, err = run_cli(capsys, "cbound", "--det", "0")
     assert code == 1 and out == ""
     assert err.strip() == "error: the determinant must be >= 1, got 0"
+
+
+def test_cli_catalog_needs_a_positive_determinant(capsys):
+    for det in ("0", "-3"):
+        code, out, err = run_cli(capsys, "catalog", "--det", det)
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: the determinant must be >= 1, got {det}"
