@@ -15,9 +15,8 @@ from .foxcalc import (FreeGroupRingElem, Presentation, alexander_polynomial,
 from .groupring import (CyclotomicNumber, GroupRingElem, phi_component,
                         phi_reconstruct)
 from .intmat import smith_normal_form
-from .lattice import (CharCoset, GramLattice, build_catalog, c_bound,
-                      char_cosets, enumerate_definite_lattices, m_invariant,
-                      qa_verdict)
+from .lattice import (GramLattice, build_catalog, c_bound,
+                      enumerate_definite_lattices, m_invariant, qa_verdict)
 from .laurent import Laurent
 from .pipeline import (PipelineReport, family_member, run_family,
                        torsion_growth, torsion_kanenobu)

@@ -1,5 +1,5 @@
-"""Negative-definite integral lattices: characteristic covector cosets,
-the per-coset square maxima, the invariant
+"""Negative-definite integral lattices: the maximum of chi^2 over each
+characteristic covector coset, the invariant
 
     m(L) = min over cosets of max { (chi^2 + rank) / 4 },
 
@@ -7,9 +7,13 @@ complete enumeration of definite lattices of small rank and given
 discriminant, the lower-bound constant C(D), and the
 not-quasi-alternating verdict record.
 
-Everything is exact; the coset maxima are found by enumerating all
-characteristic vectors inside an ellipsoid with a provable radius (every
-coset's optimum beats its seed, and every seed lies inside the ellipsoid).
+Everything is exact and runs on one integer matrix, the adjugate
+adj = det(G) G^{-1}.  A characteristic covector chi (chi_i = G_ii mod 2, in
+dual-basis coordinates) has chi^2 = chi^T adj chi / det G, and two of them
+lie in the same coset mod 2G Z^r exactly when adj chi agrees mod 2D,
+D = |det G|.  The coset maxima come from enumerating every characteristic
+chi with -chi^2 <= sum |G_ij|, a provable radius: x = G^{-1} chi moves by
+2Z^r into the cube [-1, 1)^r, where -chi^2 = -x^T G x <= sum |G_ij|.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .intmat import det_bareiss, invert_rational, smith_normal_form
+from .intmat import det_bareiss
 
 
 class LatticeError(ValueError):
@@ -72,12 +76,9 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
+    @cached_property
     def disc(self) -> int:
-        return abs(det_bareiss([list(r) for r in self.gram]))
-
-    def inverse(self) -> list[list[Fraction]]:
-        return invert_rational([list(r) for r in self.gram])
+        return abs(det_bareiss(self.gram))
 
     def to_json_dict(self) -> dict:
         return {"rank": self.rank, "gram": [list(r) for r in self.gram]}
@@ -124,75 +125,6 @@ class _ShortVectors:
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
-
-
-@dataclass(frozen=True)
-class CharCoset:
-    """A characteristic covector coset rep, in dual-basis coordinates:
-    <chi, e_i> = chi[i], with chi[i] = G[i][i] mod 2."""
-
-    representative: tuple[int, ...]
-    coset_id: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# Characteristic cosets
-# ---------------------------------------------------------------------------
-
-def _coset_labeller(lattice: GramLattice):
-    """Return a function Z^r -> canonical label of the class mod 2*G*Z^r."""
-    r = lattice.rank
-    if r == 0:
-        return lambda chi: ()
-    two_g = [[2 * x for x in row] for row in lattice.gram]
-    diag, u, _v = smith_normal_form(two_g)
-
-    def label(chi: Sequence[int]) -> tuple[int, ...]:
-        out = []
-        for i in range(r):
-            s = sum(u[i][j] * chi[j] for j in range(r))
-            d = diag[i]
-            out.append(s % d if d else s)
-        return tuple(out)
-
-    return label
-
-
-def char_cosets(lattice: GramLattice) -> list[CharCoset]:
-    """Exactly disc(L) pairwise-inequivalent characteristic cosets mod 2L."""
-    r = lattice.rank
-    if r == 0:
-        return [CharCoset((), ())]
-    two_g = [[2 * x for x in row] for row in lattice.gram]
-    diag, u, _v = smith_normal_form(two_g)
-    u_inv = invert_rational(u)
-    parity = [lattice.gram[i][i] % 2 for i in range(r)]
-    label = _coset_labeller(lattice)
-    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    # enumerate Z^r / 2G Z^r as the box over the Smith factors
-    def walk(i: int, digits: list[int]):
-        if i == r:
-            vec = []
-            for row in u_inv:
-                val = sum(row[j] * digits[j] for j in range(r))
-                if val.denominator != 1:
-                    raise AssertionError("U inverse must be integral")
-                vec.append(int(val))
-            if all(vec[k] % 2 == parity[k] for k in range(r)):
-                key = label(vec)
-                reps.setdefault(key, tuple(vec))
-            return
-        for x in range(diag[i]):
-            digits.append(x)
-            walk(i + 1, digits)
-            digits.pop()
-
-    walk(0, [])
-    expected = lattice.disc
-    if len(reps) != expected:
-        raise AssertionError(
-            f"found {len(reps)} characteristic cosets, expected {expected}")
-    return [CharCoset(rep, key) for key, rep in sorted(reps.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -266,63 +198,36 @@ def enumerate_in_ellipsoid(form: Sequence[Sequence[Fraction]], radius: Fraction,
 # Characteristic square maxima and m
 # ---------------------------------------------------------------------------
 
-def _chi_square(lattice: GramLattice, chi: Sequence[int],
-                inv: list[list[Fraction]]) -> Fraction:
-    """chi^2 = chi^T G^{-1} chi (negative for a negative-definite form)."""
-    r = lattice.rank
-    total = Fraction(0)
-    for i in range(r):
-        if chi[i]:
-            row = inv[i]
-            for j in range(r):
-                if chi[j]:
-                    total += chi[i] * row[j] * chi[j]
-    return total
-
-
-def _improve_seed(lattice: GramLattice, chi: Sequence[int],
-                  inv: list[list[Fraction]]) -> tuple[int, ...]:
-    """Greedy descent: add columns of 2G while chi^2 moves toward zero."""
-    r = lattice.rank
-    cur = list(chi)
-    best = _chi_square(lattice, cur, inv)
-    improved = True
-    while improved:
-        improved = False
-        for j in range(r):
-            for s in (1, -1):
-                cand = [cur[i] + 2 * s * lattice.gram[i][j] for i in range(r)]
-                val = _chi_square(lattice, cand, inv)
-                if val > best:
-                    cur, best = cand, val
-                    improved = True
-    return tuple(cur)
+def _adjugate(g: Sequence[Sequence[int]]) -> list[list[int]]:
+    """adj(G) = det(G) G^{-1}, entry (i, j) the signed minor of G without
+    row j and column i."""
+    r = len(g)
+    return [[(-1) ** (i + j) * det_bareiss([[g[a][b] for b in range(r) if b != i]
+                                            for a in range(r) if a != j])
+             for j in range(r)] for i in range(r)]
 
 
 def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]:
-    """For every characteristic coset, the maximum of chi^2 over the coset
-    (a negative rational, or 0 for the empty lattice)."""
-    r = lattice.rank
-    if r == 0:
-        return {(): Fraction(0)}
-    inv = lattice.inverse()
-    cosets = char_cosets(lattice)
-    label = _coset_labeller(lattice)
-    seeds = {c.coset_id: _improve_seed(lattice, c.representative, inv)
-             for c in cosets}
-    seed_vals = {cid: _chi_square(lattice, chi, inv) for cid, chi in seeds.items()}
-    radius = max(-v for v in seed_vals.values())  # enumerate chi^T(-G^{-1})chi <= radius
-    neg_inv = [[-x for x in row] for row in inv]
-    parity = [lattice.gram[i][i] % 2 for i in range(r)]
-    best: dict[tuple[int, ...], Fraction] = dict(seed_vals)
-    for chi in enumerate_in_ellipsoid(neg_inv, radius, parity):
-        sq = _chi_square(lattice, chi, inv)
-        cid = label(chi)
-        if cid not in best:
-            raise AssertionError("enumerated vector in an unknown coset")
-        if sq > best[cid]:
-            best[cid] = sq
-    return best
+    """For every characteristic coset, labelled by adj(G) chi mod 2D, the
+    maximum of chi^2 over the coset (a negative rational, or 0 for the
+    empty lattice)."""
+    g, r, disc = lattice.gram, lattice.rank, lattice.disc
+    adj = _adjugate(g)
+    sign = (-1) ** (r + 1)  # sign * adj = D (-G^{-1}) is positive definite
+    form = [[sign * x for x in row] for row in adj]
+    radius = disc * sum(abs(x) for row in g for x in row)
+    parity = [g[i][i] % 2 for i in range(r)]
+    least: dict[tuple[int, ...], int] = {}  # label -> least D (-chi^2)
+    for chi in enumerate_in_ellipsoid(form, radius, parity):
+        image = [_dot(row, chi) for row in adj]
+        label = tuple(x % (2 * disc) for x in image)
+        q = sign * _dot(chi, image)
+        if label not in least or q < least[label]:
+            least[label] = q
+    if len(least) != disc:
+        raise AssertionError(
+            f"found {len(least)} characteristic cosets, expected {disc}")
+    return {label: Fraction(-q, disc) for label, q in least.items()}
 
 
 def m_invariant(lattice: GramLattice) -> Fraction:
@@ -388,11 +293,15 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
 
         def fill(k: int):
             if k == len(positions):
-                if det_bareiss(mat) == disc and _is_positive_definite(mat):
-                    neg = GramLattice.from_rows([[-x for x in row] for row in mat])
-                    bucket = buckets.setdefault(_isometry_key(neg), [])
-                    if not any(lattices_isometric(neg, other) for other in bucket):
-                        bucket.append(neg)
+                if det_bareiss(mat) != disc:
+                    return
+                try:
+                    neg = GramLattice(tuple(tuple(-x for x in row) for row in mat))
+                except LatticeError:  # not definite
+                    return
+                bucket = buckets.setdefault(_isometry_key(neg), [])
+                if not any(lattices_isometric(neg, other) for other in bucket):
+                    bucket.append(neg)
                 return
             i, j = positions[k]
             half = min(diag[i], diag[j]) // 2
@@ -404,13 +313,6 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
         fill(0)
     return sorted((lat for bucket in buckets.values() for lat in bucket),
                   key=lambda lat: lat.gram)
-
-
-def _is_positive_definite(m: list[list[int]]) -> bool:
-    for k in range(1, len(m) + 1):
-        if det_bareiss([row[:k] for row in m[:k]]) <= 0:
-            return False
-    return True
 
 
 def _isometry_key(lattice: GramLattice) -> tuple[int, ...]:

@@ -7,10 +7,12 @@ genuine two-route check rather than the same code called twice.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from qatorsion.diagrams import End, LinkDiagram
+from qatorsion.intmat import invert_rational, smith_normal_form
 from qatorsion.lattice import GramLattice, enumerate_in_ellipsoid
 from qatorsion.laurent import Laurent
 from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP
@@ -193,20 +195,88 @@ def evaluate_vector_at_character(coeffs, p: int, k: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# Characteristic cosets as the Smith-form box over Z^r / 2G Z^r
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CharCoset:
+    """A characteristic covector coset rep, in dual-basis coordinates:
+    <chi, e_i> = chi[i], with chi[i] = G[i][i] mod 2."""
+
+    representative: tuple[int, ...]
+    coset_id: tuple[int, ...]
+
+
+def _coset_labeller(lattice: GramLattice):
+    """Return a function Z^r -> canonical label of the class mod 2*G*Z^r."""
+    r = lattice.rank
+    if r == 0:
+        return lambda chi: ()
+    two_g = [[2 * x for x in row] for row in lattice.gram]
+    diag, u, _v = smith_normal_form(two_g)
+
+    def label(chi) -> tuple[int, ...]:
+        out = []
+        for i in range(r):
+            s = sum(u[i][j] * chi[j] for j in range(r))
+            d = diag[i]
+            out.append(s % d if d else s)
+        return tuple(out)
+
+    return label
+
+
+def char_cosets(lattice: GramLattice) -> list[CharCoset]:
+    """Exactly disc(L) pairwise-inequivalent characteristic cosets mod 2L."""
+    r = lattice.rank
+    if r == 0:
+        return [CharCoset((), ())]
+    two_g = [[2 * x for x in row] for row in lattice.gram]
+    diag, u, _v = smith_normal_form(two_g)
+    u_inv = invert_rational(u)
+    parity = [lattice.gram[i][i] % 2 for i in range(r)]
+    label = _coset_labeller(lattice)
+    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # enumerate Z^r / 2G Z^r as the box over the Smith factors
+    def walk(i: int, digits: list[int]):
+        if i == r:
+            vec = []
+            for row in u_inv:
+                val = sum(row[j] * digits[j] for j in range(r))
+                if val.denominator != 1:
+                    raise AssertionError("U inverse must be integral")
+                vec.append(int(val))
+            if all(vec[k] % 2 == parity[k] for k in range(r)):
+                key = label(vec)
+                reps.setdefault(key, tuple(vec))
+            return
+        for x in range(diag[i]):
+            digits.append(x)
+            walk(i + 1, digits)
+            digits.pop()
+
+    walk(0, [])
+    expected = lattice.disc
+    if len(reps) != expected:
+        raise AssertionError(
+            f"found {len(reps)} characteristic cosets, expected {expected}")
+    return [CharCoset(rep, key) for key, rep in sorted(reps.items())]
+
+
+# ---------------------------------------------------------------------------
 # Brute-force characteristic-coset maxima (box scan)
 # ---------------------------------------------------------------------------
 
 def brute_coset_maxima(lattice) -> dict[tuple, Fraction]:
     """Independent re-derivation of the per-coset maxima of chi^2: greedy
-    seeds, a provable coordinate box, and a full parity-constrained scan."""
+    seeds, a provable coordinate box, and a full parity-constrained scan,
+    keyed by the coset_id of char_cosets."""
     from itertools import product
-
-    from qatorsion.lattice import _coset_labeller, char_cosets
 
     r = lattice.rank
     if r == 0:
         return {(): Fraction(0)}
-    inv = lattice.inverse()
+    inv = invert_rational([list(row) for row in lattice.gram])
 
     def chi_sq(chi):
         return sum(chi[i] * inv[i][j] * chi[j] for i in range(r) for j in range(r))

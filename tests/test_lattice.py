@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from qatorsion.intmat import identity, mat_mul, transpose
 from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
-                               CharCoset, GramLattice, LatticeError,
+                               GramLattice, LatticeError, _adjugate,
                                build_catalog, c_bound, catalog_from_json,
-                               catalog_to_json, char_cosets,
-                               coset_square_maxima,
+                               catalog_to_json, coset_square_maxima,
                                enumerate_definite_lattices,
                                lattices_isometric, m_invariant, qa_verdict)
 from qatorsion.torsion import d_lens_oracle
 
-from oracles import (brute_coset_maxima, brute_m_invariant,
+from oracles import (brute_coset_maxima, brute_m_invariant, char_cosets,
                      pairwise_definite_lattices)
 
 NEG_E8 = GramLattice.from_rows([
@@ -40,38 +39,61 @@ def test_definiteness_validation():
         GramLattice.from_rows([[-1, 0], [1, -1]])
 
 
+def _label(lat, chi):
+    """The coset label adj(G) chi mod 2D that coset_square_maxima keys on."""
+    return tuple(sum(a * c for a, c in zip(row, chi)) % (2 * lat.disc)
+                 for row in _adjugate(lat.gram))
+
+
+def _representative(lat, label):
+    """chi = G L / det G, a characteristic vector whose label is L."""
+    det = (-1) ** lat.rank * lat.disc
+    image = [sum(g * x for g, x in zip(row, label)) for row in lat.gram]
+    assert all(x % det == 0 for x in image)
+    return [x // det for x in image]
+
+
+def test_adjugate_is_det_times_inverse():
+    for lat in [GramLattice.diagonal([-2, -3]), NEG_E8,
+                GramLattice.from_rows([[-2, -1], [-1, -13]]),
+                GramLattice.from_rows([[-2, 1, 0], [1, -3, 1], [0, 1, -5]])]:
+        det = (-1) ** lat.rank * lat.disc
+        product = mat_mul(_adjugate(lat.gram), [list(row) for row in lat.gram])
+        assert product == [[det * x for x in row] for row in identity(lat.rank)]
+
+
 def test_char_coset_counts():
-    assert len(char_cosets(GramLattice.diagonal([-1]))) == 1
-    assert len(char_cosets(GramLattice.diagonal([-1, -1]))) == 1
-    assert len(char_cosets(GramLattice.diagonal([-25]))) == 25
-    assert char_cosets(GramLattice.rank_zero()) == [CharCoset((), ())]
-    reps = char_cosets(GramLattice.diagonal([-1]))
-    assert reps[0].representative[0] % 2 == 1
+    for lat in [GramLattice.rank_zero(), GramLattice.diagonal([-1]),
+                GramLattice.diagonal([-1, -1]), GramLattice.diagonal([-25]),
+                GramLattice.diagonal([-2, -3]),
+                GramLattice.from_rows([[-2, -1], [-1, -13]])]:
+        assert len(coset_square_maxima(lat)) == lat.disc
+    assert coset_square_maxima(GramLattice.rank_zero()) == {(): 0}
+    assert coset_square_maxima(GramLattice.diagonal([-1])) == {(1,): -1}
 
 
 def test_char_cosets_have_characteristic_parity():
     for lat in [GramLattice.diagonal([-2, -3]), NEG_E8,
                 GramLattice.from_rows([[-2, -1], [-1, -13]])]:
-        for coset in char_cosets(lat):
-            chi = coset.representative
+        for label in coset_square_maxima(lat):
+            chi = _representative(lat, label)
             for i in range(lat.rank):
                 assert (chi[i] - lat.gram[i][i]) % 2 == 0
+            assert _label(lat, chi) == label
 
 
 def test_doubling_by_lattice_vectors_stays_in_class():
     rng = random.Random(51)
-    from qatorsion.lattice import _coset_labeller
     for lat in [GramLattice.diagonal([-3, -5]),
                 GramLattice.from_rows([[-2, -1], [-1, -13]])]:
-        label = _coset_labeller(lat)
-        for coset in char_cosets(lat):
-            chi = list(coset.representative)
+        for label in coset_square_maxima(lat):
+            chi = _representative(lat, label)
             for _ in range(10):
                 z = [rng.randint(-2, 2) for _ in range(lat.rank)]
                 moved = [chi[i] + 2 * sum(lat.gram[i][j] * z[j]
                                           for j in range(lat.rank))
                          for i in range(lat.rank)]
-                assert label(moved) == coset.coset_id
+                assert _label(lat, moved) == label
 
 
 def test_m_of_unit_diagonals_is_zero():
@@ -94,9 +116,30 @@ def test_rank_one_maxima_match_lens_recursion():
 def test_m_matches_brute_force_spot():
     for lat in [GramLattice.diagonal([-2, -3]), GramLattice.diagonal([-25]),
                 GramLattice.from_rows([[-2, -1], [-1, -13]]),
-                GramLattice.diagonal([-1, -5, -5])]:
+                GramLattice.diagonal([-1, -5, -5]),
+                GramLattice.diagonal([-1, -1, -5, -5])]:
         assert m_invariant(lat) == brute_m_invariant(lat)
-        assert coset_square_maxima(lat) == brute_coset_maxima(lat)
+        brute = brute_coset_maxima(lat)
+        by_label = {_label(lat, c.representative): brute[c.coset_id]
+                    for c in char_cosets(lat)}
+        assert len(by_label) == lat.disc
+        assert coset_square_maxima(lat) == by_label
+
+
+def test_m_on_catalog25_is_pinned(catalog25_session):
+    want = ("-6 -2 -72/25 -6 -26/25 -7/5 -2 -2 -72/25 -6 "
+            "-4/5 -22/25 -3/5 -36/25 -26/25 -7/5 -2 -2 -72/25 -6")
+    got = [m_invariant(lat) for lat in catalog25_session[0]]
+    assert got == [Fraction(x) for x in want.split()]
+
+
+def test_c_bound25_within_budget(catalog25_session):
+    catalog = [GramLattice(lat.gram) for lat in catalog25_session[0]]
+    start = time.perf_counter()
+    bound = c_bound(25, catalog)
+    elapsed = time.perf_counter() - start
+    assert bound.value == -6
+    assert elapsed < 1.5, f"c_bound(25) took {elapsed:.2f}s, budget 1.5s"
 
 
 def test_m_is_congruence_invariant():
