@@ -12,8 +12,11 @@ adj = det(G) G^{-1}.  A characteristic covector chi (chi_i = G_ii mod 2, in
 dual-basis coordinates) has chi^2 = chi^T adj chi / det G, and two of them
 lie in the same coset mod 2G Z^r exactly when adj chi agrees mod 2D,
 D = |det G|.  The coset maxima come from enumerating every characteristic
-chi with -chi^2 <= sum |G_ij|, a provable radius: x = G^{-1} chi moves by
-2Z^r into the cube [-1, 1)^r, where -chi^2 = -x^T G x <= sum |G_ij|.
+chi with -chi^2 <= R for R = 0, 1/D, 4/D, 16/D, ... until all D labels are
+seen: from then on every coset has a vector within R, so its maximum is
+among those enumerated.  R never needs to pass sum |G_ij|, a provable
+radius: x = G^{-1} chi moves by 2Z^r into the cube [-1, 1)^r, where
+-chi^2 = -x^T G x <= sum |G_ij|.
 """
 
 from __future__ import annotations
@@ -215,15 +218,20 @@ def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]
     adj = _adjugate(g)
     sign = (-1) ** (r + 1)  # sign * adj = D (-G^{-1}) is positive definite
     form = [[sign * x for x in row] for row in adj]
-    radius = disc * sum(abs(x) for row in g for x in row)
+    cube = disc * sum(abs(x) for row in g for x in row)
     parity = [g[i][i] % 2 for i in range(r)]
-    least: dict[tuple[int, ...], int] = {}  # label -> least D (-chi^2)
-    for chi in enumerate_in_ellipsoid(form, radius, parity):
-        image = [_dot(row, chi) for row in adj]
-        label = tuple(x % (2 * disc) for x in image)
-        q = sign * _dot(chi, image)
-        if label not in least or q < least[label]:
-            least[label] = q
+    radius = 0
+    while True:
+        least: dict[tuple[int, ...], int] = {}  # label -> least D (-chi^2)
+        for chi in enumerate_in_ellipsoid(form, radius, parity):
+            image = [_dot(row, chi) for row in adj]
+            label = tuple(x % (2 * disc) for x in image)
+            q = sign * _dot(chi, image)
+            if label not in least or q < least[label]:
+                least[label] = q
+        if len(least) == disc or radius >= cube:
+            break
+        radius = min(cube, max(1, 4 * radius))
     if len(least) != disc:
         raise AssertionError(
             f"found {len(least)} characteristic cosets, expected {disc}")

@@ -104,6 +104,28 @@ def test_m_of_unit_diagonals_is_zero():
 
 def test_m_of_negative_e8():
     assert m_invariant(NEG_E8) == 2
+    assert coset_square_maxima(NEG_E8) == {(0,) * 8: 0}
+    assert list(brute_coset_maxima(NEG_E8).values()) == [0]
+
+
+def _orthogonal_sum(a: GramLattice, b: GramLattice) -> GramLattice:
+    n, k = a.rank, b.rank
+    return GramLattice.from_rows([list(row) + [0] * k for row in a.gram]
+                                 + [[0] * n + list(row) for row in b.gram])
+
+
+def test_m_of_unimodular_sums_within_budget():
+    # One coset each: chi = 0 + 1 on -E8 + <-1> (its last coordinate is
+    # odd, so chi^2 <= -1), chi = 0 on the even -E8 + -E8.
+    start = time.perf_counter()
+    e8_unit = _orthogonal_sum(NEG_E8, GramLattice.diagonal([-1]))
+    assert list(coset_square_maxima(e8_unit).values()) == [-1]
+    assert m_invariant(e8_unit) == 2
+    e8_e8 = _orthogonal_sum(NEG_E8, NEG_E8)
+    assert list(coset_square_maxima(e8_e8).values()) == [0]
+    assert m_invariant(e8_e8) == 4
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"m of the unimodular sums took {elapsed:.2f}s, budget 1s"
 
 
 def test_rank_one_maxima_match_lens_recursion():
@@ -167,11 +189,8 @@ def test_orthogonal_unit_summand_preserves_m_on_corpus():
               GramLattice.from_rows([[-2, -1], [-1, -13]]),
               GramLattice.diagonal([-25])]
     for lat in corpus:
-        r = lat.rank
-        extended = [[lat.gram[i][j] if i < r and j < r else
-                     (-1 if i == j == r else 0)
-                     for j in range(r + 1)] for i in range(r + 1)]
-        assert m_invariant(GramLattice.from_rows(extended)) == m_invariant(lat)
+        extended = _orthogonal_sum(lat, GramLattice.diagonal([-1]))
+        assert m_invariant(extended) == m_invariant(lat)
 
 
 def test_enumeration_examples():
