@@ -4,12 +4,13 @@ checkerboard white graphs.
 A white graph records the white regions of a checkerboard-coloured knot
 diagram (one vertex per bounded white region, plus the distinguished
 unbounded region), its crossings as signed edges, and the counterclockwise
-cyclic order of edge-ends at each vertex.  Reading the recipe off the
-graph gives a genus-g Heegaard presentation of the double branched cover:
-one generator and one relator per bounded vertex, where a counterclockwise
-loop around vertex v_i records (a_j^-1 a_i)^mu for each edge to a bounded
-vertex v_j and the single letter a_i^mu for each edge to the unbounded
-region.
+cyclic order of edge-ends at each vertex.  A twist region of parallel
+crossings is one edge whose weight counts them with their sign.  Reading
+the recipe off the graph gives a genus-g Heegaard presentation of the
+double branched cover: one generator and one relator per bounded vertex,
+where a counterclockwise loop around vertex v_i records the run
+(a_j^-1 a_i)^w for each edge of weight w to a bounded vertex v_j and the
+run a_i^w for each edge to the unbounded region.
 
 The boundary-edge convention reproduces the twist-family relators below
 exactly; it is the first thing to suspect if a user-supplied graph yields
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .foxcalc import (FreeWord, Presentation, abelianize_word_derivative,
-                      determinant_cofactor, gen, presentation_matrix, winv,
-                      wmul, wpow)
+from .foxcalc import (Presentation, Relator, Run, abelianize_relator_derivative,
+                      determinant_cofactor, gen, presentation_matrix, relator,
+                      winv, wmul)
 from .groupring import GroupRingElem
 from .intmat import smith_normal_form
 
@@ -34,11 +35,13 @@ BOUNDARY = "B"
 
 @dataclass(frozen=True)
 class WhiteGraph:
-    """Signed plane multigraph of white regions.
+    """Signed plane multigraph of white regions, parallel edges bundled.
 
     vertices: number of bounded-region vertices, numbered 1..k.
-    edges: (i, j, sign) with 1-based vertex labels; j may be the string "B"
-        for the unbounded-region vertex.
+    edges: (i, j, w) with 1-based vertex labels; j may be the string "B"
+        for the unbounded-region vertex.  The weight w is a nonzero integer:
+        the edge stands for |w| parallel edges of sign sgn(w), side by side
+        in the cyclic orders (a twist region of |w| crossings).
     cyclic: entry v-1 lists the counterclockwise order of edge-end ids at
         bounded vertex v; an optional extra entry gives the order at "B"
         (needed to rebuild the link diagram, not for the presentation).
@@ -55,13 +58,14 @@ class WhiteGraph:
                              "(plus optionally one for the boundary vertex)")
         incident = {v: [] for v in range(1, self.vertices + 1)}
         incident[BOUNDARY] = []
-        for e, (a, b, sign) in enumerate(self.edges):
-            if sign not in (1, -1):
-                raise ValueError(f"edge {e} has sign {sign}")
+        for e, (a, b, weight) in enumerate(self.edges):
+            if type(weight) is not int or weight == 0:
+                raise ValueError(f"edge {e} has weight {weight!r}, "
+                                 "not a nonzero integer")
             for endpoint, end_id in ((a, 2 * e), (b, 2 * e + 1)):
                 if endpoint == BOUNDARY:
                     incident[BOUNDARY].append(end_id)
-                elif isinstance(endpoint, int) and 1 <= endpoint <= self.vertices:
+                elif type(endpoint) is int and 1 <= endpoint <= self.vertices:
                     incident[endpoint].append(end_id)
                 else:
                     raise ValueError(f"edge {e} endpoint {endpoint!r} out of range")
@@ -73,6 +77,22 @@ class WhiteGraph:
             if sorted(self.cyclic[self.vertices]) != sorted(incident[BOUNDARY]):
                 raise ValueError(
                     "boundary cyclic order is not a permutation of the boundary edge-ends")
+
+    def expanded(self) -> "WhiteGraph":
+        """The same graph with every edge of weight w written as |w| edges of
+        sign sgn(w), numbered consecutively; their ends run in order at the
+        first endpoint and in reverse at the second, as parallel edges do."""
+        edges: list[tuple[Union[int, str], Union[int, str], int]] = []
+        ends: dict[int, list[int]] = {}
+        for e, (a, b, weight) in enumerate(self.edges):
+            first = len(edges)
+            edges.extend([(a, b, 1 if weight > 0 else -1)] * abs(weight))
+            units = range(first, len(edges))
+            ends[2 * e] = [2 * u for u in units]
+            ends[2 * e + 1] = [2 * u + 1 for u in reversed(units)]
+        return WhiteGraph(vertices=self.vertices, edges=tuple(edges),
+                          cyclic=tuple(tuple(x for end in order for x in ends[end])
+                                       for order in self.cyclic))
 
     # -- helpers -------------------------------------------------------------
 
@@ -105,7 +125,7 @@ class WhiteGraph:
     def to_json_dict(self) -> dict:
         return {
             "vertices": self.vertices,
-            "edges": [[a, b, s] for a, b, s in self.edges],
+            "edges": [list(edge) for edge in self.edges],
             "cyclic": [list(c) for c in self.cyclic],
         }
 
@@ -118,7 +138,7 @@ class WhiteGraph:
                 and _is_int_rows(edges, BOUNDARY)
                 and all(len(e) == 3 and e[2] != BOUNDARY for e in edges)):
             raise ValueError("white graph fields must be an integer, "
-                             "[a, b, sign] edges and lists of end ids")
+                             "[a, b, weight] edges and lists of end ids")
         return cls(vertices=d["vertices"], edges=tuple(tuple(e) for e in edges),
                    cyclic=tuple(tuple(c) for c in cyclic))
 
@@ -169,26 +189,24 @@ class HomologyNotCyclicError(ValueError):
 
 def white_graph_presentation(graph: WhiteGraph) -> BranchedCoverPresentation:
     """One generator and one relator per bounded vertex; the relator around
-    v is the left-to-right product, in counterclockwise order, of
-    (a_j^-1 a_i)^sign for edges to bounded v_j and a_i^sign for edges to the
-    unbounded region.
+    v is the left-to-right product, in counterclockwise order, of the runs
+    (a_j^-1 a_i)^w for edges of weight w to bounded v_j and a_i^w for edges
+    to the unbounded region.
 
     H_1 is computed here, once: the cover carries its invariant factors and,
     when H_1 is finite cyclic, the generator images as the abelianization
     assignment and the dual-curve classes."""
     if not graph.is_connected():
         raise ValueError("white graph is disconnected")
-    relators: list[FreeWord] = []
+    relators: list[Relator] = []
     for v in range(1, graph.vertices + 1):
-        parts: list[FreeWord] = []
+        runs: list[Run] = []
         for end_id in graph.cyclic[v - 1]:
-            sign = graph.edges[end_id // 2][2]
+            weight = graph.edges[end_id // 2][2]
             other = graph.other_end_vertex(end_id)
-            if other == BOUNDARY:
-                parts.append(wpow(gen(v), sign))
-            else:
-                parts.append(wpow(wmul(winv(gen(other)), gen(v)), sign))
-        relators.append(wmul(*parts) if parts else ())
+            u = gen(v) if other == BOUNDARY else wmul(winv(gen(other)), gen(v))
+            runs.append((u, weight))
+        relators.append(tuple(runs))
     pres = Presentation(gens=graph.vertices, relators=tuple(relators))
     try:
         factors, images, modulus = homology_invariants(pres)
@@ -259,54 +277,45 @@ def homology(cover: BranchedCoverPresentation
 # ---------------------------------------------------------------------------
 
 def kanenobu_white_graph(p: int, q: int) -> WhiteGraph:
-    """White graph of the two-twist-region ribbon knot K_{p,q}.
+    """White graph of the two-twist-region ribbon knot K_{p,q}, one edge per
+    twist region.
 
     Four bounded vertices: v1 (top left), v2 (bottom left), v3 (bottom
-    right), v4 (top right).  |p| parallel edges of sign sgn(p) join v1-v2,
-    |q| parallel edges of sign sgn(q) join v3-v4, one +1 edge joins v1-v4,
-    one -1 edge joins v2-v3, and the unbounded region receives one +1 edge
-    at v1, one -1 at v2, two -1 at v3 and two +1 at v4.
+    right), v4 (top right).  An edge of weight p joins v1-v2 and one of
+    weight q joins v3-v4 (none when the weight is 0), one +1 edge joins
+    v1-v4, one -1 edge joins v2-v3, and the unbounded region receives a +1
+    edge at v1, a -1 edge at v2, a -2 edge at v3 and a +2 edge at v4: at
+    most eight edges for any p and q.
     """
     edges: list[tuple[Union[int, str], Union[int, str], int]] = []
 
-    def add(a, b, s) -> int:
-        edges.append((a, b, s))
+    def add(a, b, weight) -> Optional[int]:
+        if not weight:
+            return None
+        edges.append((a, b, weight))
         return len(edges) - 1
 
-    sp = 1 if p > 0 else -1
-    sq = 1 if q > 0 else -1
-    p_bundle = [add(1, 2, sp) for _ in range(abs(p))]
+    e_p = add(1, 2, p)
     e_f = add(1, 4, 1)
     e_g = add(2, 3, -1)
-    q_bundle = [add(3, 4, sq) for _ in range(abs(q))]
+    e_q = add(3, 4, q)
     c1 = add(1, BOUNDARY, 1)
     c2 = add(2, BOUNDARY, -1)
-    c3a = add(3, BOUNDARY, -1)
-    c3b = add(3, BOUNDARY, -1)
-    c4a = add(4, BOUNDARY, 1)
-    c4b = add(4, BOUNDARY, 1)
+    c3 = add(3, BOUNDARY, -2)
+    c4 = add(4, BOUNDARY, 2)
 
-    def end_at(edge_id: int, vertex) -> int:
-        a, b, _ = edges[edge_id]
-        if a == vertex:
-            return 2 * edge_id
-        if b == vertex:
-            return 2 * edge_id + 1
-        raise AssertionError
+    def order(*ends) -> tuple[int, ...]:
+        # (edge, 0 at its first endpoint or 1 at its second) -> end id
+        return tuple(2 * e + side for e, side in ends if e is not None)
 
-    cyc1 = [end_at(e, 1) for e in p_bundle] + [end_at(e_f, 1), end_at(c1, 1)]
-    cyc2 = [end_at(e_g, 2)] + [end_at(e, 2) for e in reversed(p_bundle)] + [end_at(c2, 2)]
-    cyc3 = ([end_at(e, 3) for e in q_bundle]
-            + [end_at(e_g, 3), end_at(c3a, 3), end_at(c3b, 3)])
-    cyc4 = ([end_at(e_f, 4)] + [end_at(e, 4) for e in reversed(q_bundle)]
-            + [end_at(c4a, 4), end_at(c4b, 4)])
     # counterclockwise around the unbounded vertex = clockwise around the
     # picture: start at v1's boundary edge and sweep over v4, v3, v2
-    cyc_b = [end_at(c1, BOUNDARY), end_at(c4b, BOUNDARY), end_at(c4a, BOUNDARY),
-             end_at(c3b, BOUNDARY), end_at(c3a, BOUNDARY), end_at(c2, BOUNDARY)]
-    return WhiteGraph(vertices=4, edges=tuple(edges),
-                      cyclic=(tuple(cyc1), tuple(cyc2), tuple(cyc3),
-                              tuple(cyc4), tuple(cyc_b)))
+    return WhiteGraph(vertices=4, edges=tuple(edges), cyclic=(
+        order((e_p, 0), (e_f, 0), (c1, 0)),
+        order((e_g, 0), (e_p, 1), (c2, 0)),
+        order((e_q, 0), (e_g, 1), (c3, 0)),
+        order((e_f, 1), (e_q, 1), (c4, 0)),
+        order((c1, 1), (c4, 1), (c3, 1), (c2, 1))))
 
 
 def kanenobu_presentation(p: int, q: int) -> BranchedCoverPresentation:
@@ -319,7 +328,7 @@ def lens_presentation(p: int, q: int = 1) -> BranchedCoverPresentation:
     dual-curve classes are g = t and h = t^q."""
     if p < 1:
         raise ValueError("need p >= 1")
-    pres = Presentation(gens=1, relators=(wpow(gen(1), p),),
+    pres = Presentation(gens=1, relators=(relator(gen(1), p),),
                         assignment=(1,), modulus=p)
     return BranchedCoverPresentation(presentation=pres,
                                      factors=(p,) if p > 1 else (),
@@ -348,7 +357,7 @@ def abelianized_minor(cover: BranchedCoverPresentation, r: int, s: int
         raise ValueError("minor indices out of range")
     rows = [i for i in range(1, g + 1) if i != r]
     cols = [j for j in range(len(pres.relators)) if j != s - 1]
-    mat = [[abelianize_word_derivative(pres.relators[j], i, pres.assignment, n)
+    mat = [[abelianize_relator_derivative(pres.relators[j], i, pres.assignment, n)
             for j in cols] for i in rows]
     return determinant_cofactor(mat, GroupRingElem.zero(n), GroupRingElem.one(n))
 

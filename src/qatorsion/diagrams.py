@@ -398,7 +398,7 @@ def wirtinger_presentation(diagram: LinkDiagram):
     crossing sign, and one redundant relator is dropped.  The infinite
     cyclic assignment sends every generator to t.
     """
-    from .foxcalc import Presentation
+    from .foxcalc import Presentation, relator
 
     if diagram.free_loops:
         raise DiagramError("Wirtinger presentations need a connected knot diagram")
@@ -427,8 +427,7 @@ def wirtinger_presentation(diagram: LinkDiagram):
         tup = diagram.crossings[ci]
         u_in, u_out, over = gen_of(tup[0]), gen_of(tup[2]), gen_of(tup[1])
         e = diagram.crossing_sign(ci)
-        relator = ((u_out, -1), (over, e), (u_in, 1), (over, -e))
-        relators.append(relator)
+        relators.append(relator(((u_out, -1), (over, e), (u_in, 1), (over, -e))))
     if relators:
         relators.pop()
     return Presentation(gens=len(classes), relators=tuple(relators),
@@ -451,15 +450,17 @@ def wirtinger_presentation(diagram: LinkDiagram):
 def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
     """Checkerboard link diagram whose white graph is `graph`.
 
-    One crossing per edge; segments of the diagram correspond to corners
-    between consecutive edge-ends at the graph's vertices (including the
-    unbounded-region vertex, whose rotation must be supplied).
+    One crossing per unit edge of `graph.expanded()`, numbered alike;
+    segments of the diagram correspond to corners between consecutive
+    edge-ends at the graph's vertices (including the unbounded-region
+    vertex, whose rotation must be supplied).
     """
     if not graph.has_boundary_cycle():
         raise DiagramError(
             "rebuilding the diagram needs the cyclic order at the boundary vertex")
     if not graph.is_connected():
         raise DiagramError("white graph is disconnected")
+    graph = graph.expanded()
     n_edges = len(graph.edges)
     if n_edges == 0:
         return unknot_diagram()
@@ -597,3 +598,28 @@ def kanenobu_diagram(p: int, q: int) -> LinkDiagram:
     white graph."""
     from .covers import kanenobu_white_graph
     return white_graph_diagram(kanenobu_white_graph(p, q))
+
+
+def parity_reduced_diagram(graph: WhiteGraph) -> tuple[LinkDiagram, tuple[int, ...]]:
+    """The diagram of `graph` with each edge of weight w cut to 1 or 2
+    crossings (|w| mod 2 kept, and the sign), plus, per crossing, how many
+    crossings of the full diagram it stands for.
+
+    A twist region cut by an even number of crossings connects its four
+    ends as before, so the diagram keeps the components and, for a knot,
+    each bundle's crossing type.  All crossings of one bundle share their
+    two white regions, Goeritz sign and type, so the full diagram's Goeritz
+    data is the reduced one's with the first crossing of each bundle
+    counted |w| - |w'| + 1 times (`skein.goeritz_invariants`).  For a link,
+    each diagram orients its components on its own, so only the determinant
+    is sure to agree.  At most 2 * len(graph.edges) crossings, whatever the
+    weights.
+    """
+    edges, multiplicity = [], []
+    for a, b, weight in graph.edges:
+        k = 2 - abs(weight) % 2
+        edges.append((a, b, k if weight > 0 else -k))
+        multiplicity += [abs(weight) - k + 1] + [1] * (k - 1)
+    reduced = WhiteGraph(vertices=graph.vertices, edges=tuple(edges),
+                         cyclic=graph.cyclic)
+    return white_graph_diagram(reduced), tuple(multiplicity)

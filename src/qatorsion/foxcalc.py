@@ -6,12 +6,19 @@ reduction is available on demand and the Fox derivative is computed on the
 word as given (it is invariant under free reduction, which the test suite
 checks rather than assumes).  Generators are numbered from 1, matching the
 a_1, a_2, ... naming used in presentations throughout the package.
+
+A relator is a tuple of runs (u, k), the word u raised to the integer power
+k, multiplied left to right.  A twist region of k parallel crossings reads
+into a relator as one run, so exponent sums, the abelianization check and
+abelianized Fox derivatives cost the same whatever k is; a relator read
+from text is the one-run case (w, 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .groupring import GroupRingElem
@@ -19,6 +26,8 @@ from .laurent import Laurent
 
 Letter = tuple[int, int]          # (generator index >= 1, exponent +-1)
 FreeWord = tuple[Letter, ...]
+Run = tuple[FreeWord, int]        # (u, k): the word u to the power k
+Relator = tuple[Run, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +72,23 @@ def wreduce(w: FreeWord) -> FreeWord:
     return tuple(out)
 
 
-def exponent_sums(w: FreeWord, gens: int) -> list[int]:
+def relator(w: FreeWord, k: int = 1) -> Relator:
+    """The one-run relator w^k."""
+    return ((w, k),)
+
+
+def relator_word(r: Relator) -> FreeWord:
+    """The relator written out letter by letter."""
+    return wmul(*(wpow(u, k) for u, k in r))
+
+
+def exponent_sums(r: Relator, gens: int) -> list[int]:
     sums = [0] * gens
-    for g, s in w:
-        if g > gens:
-            raise ValueError(f"letter a{g} exceeds generator count {gens}")
-        sums[g - 1] += s
+    for u, k in r:
+        for g, s in u:
+            if g > gens:
+                raise ValueError(f"letter a{g} exceeds generator count {gens}")
+            sums[g - 1] += k * s
     return sums
 
 
@@ -219,25 +239,45 @@ def abelianize(x: FreeGroupRingElem, assignment: Sequence[int],
     return GroupRingElem(modulus, out)
 
 
-def abelianize_word_derivative(w: FreeWord, i: int, assignment: Sequence[int],
-                               modulus: int) -> GroupRingElem:
-    """ab(fox_derivative(w, i)) computed in one linear scan.
+def abelianize_relator_derivative(r: Relator, i: int, assignment: Sequence[int],
+                                  modulus: int) -> GroupRingElem:
+    """ab(fox_derivative(relator_word(r), i)) without writing out the runs.
 
-    Same value as abelianizing the full derivative, but O(len(w)) instead of
-    O(len(w)^2); used for the large twist-region relators.
+    By the product rule a run u^k that follows a prefix with image t^P adds
+    t^P (1 + t^e + ... + t^((k-1)e)) ab(d_i u) for k > 0, and
+    -t^P (t^-e + t^-2e + ... + t^(ke)) ab(d_i u) for k < 0, where
+    t^e = ab(u).  The powers of t^e repeat with period N / gcd(e, N), so a
+    run costs O(N + len(u)) whatever |k| is.
     """
-    out = [Fraction(0)] * modulus
+    out = [0] * modulus
     prefix = 0
-    for g, s in w:
-        if g > len(assignment):
-            raise ValueError(f"generator a{g} has no abelianization assignment")
-        if g == i:
-            if s == 1:
-                out[prefix % modulus] += 1
-            else:
-                out[(prefix - assignment[g - 1]) % modulus] -= 1
-        prefix += s * assignment[g - 1]
+    for u, k in r:
+        du: list[tuple[int, int]] = []   # ab(d_i u) as (exponent, coefficient)
+        e = 0
+        for g, s in u:
+            if g > len(assignment):
+                raise ValueError(f"generator a{g} has no abelianization assignment")
+            if g == i:
+                du.append((e if s == 1 else e - assignment[g - 1], s))
+            e += s * assignment[g - 1]
+        if du:
+            for x, c in _power_sum(e, k, modulus):
+                for y, s in du:
+                    out[(prefix + x + y) % modulus] += c * s
+        prefix = (prefix + k * e) % modulus
     return GroupRingElem(modulus, out)
+
+
+def _power_sum(e: int, k: int, modulus: int) -> list[tuple[int, int]]:
+    """The geometric factor of d(u^k) = factor * d(u) under ab(u) = t^e, as
+    (exponent mod N, coefficient) pairs: 1 + t^e + ... + t^((k-1)e) for
+    k > 0 and -(t^-e + ... + t^(ke)) for k < 0."""
+    step = e if k > 0 else -e
+    first, sign = (0, 1) if k > 0 else (step, -1)
+    period = modulus // gcd(e, modulus)
+    full, rest = divmod(abs(k), period)
+    return [((first + j * step) % modulus, sign * (full + (j < rest)))
+            for j in range(min(abs(k), period))]
 
 
 def abelianize_laurent(x: FreeGroupRingElem, assignment: Sequence[int]) -> Laurent:
@@ -259,7 +299,8 @@ def abelianize_laurent(x: FreeGroupRingElem, assignment: Sequence[int]) -> Laure
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite group presentation < a_1 .. a_g | r_1 .. r_k >.
+    """A finite group presentation < a_1 .. a_g | r_1 .. r_k >, each relator
+    a tuple of runs (see the module docstring).
 
     `assignment` optionally records an abelianization a_i -> t^assignment[i-1]
     into Z/`modulus`; modulus None means the infinite cyclic group Z (used by
@@ -267,7 +308,7 @@ class Presentation:
     """
 
     gens: int
-    relators: tuple[FreeWord, ...]
+    relators: tuple[Relator, ...]
     assignment: Optional[tuple[int, ...]] = None
     modulus: Optional[int] = None
 
@@ -275,9 +316,11 @@ class Presentation:
         if self.gens < 0:
             raise ValueError("generator count must be >= 0")
         for r in self.relators:
-            for g, _ in r:
-                if g < 1 or g > self.gens:
-                    raise ValueError(f"relator letter a{g} out of range (g={self.gens})")
+            for u, _k in r:
+                for g, _ in u:
+                    if g < 1 or g > self.gens:
+                        raise ValueError(
+                            f"relator letter a{g} out of range (g={self.gens})")
         if self.assignment is not None and len(self.assignment) != self.gens:
             raise ValueError("assignment length must equal the generator count")
 
@@ -286,7 +329,7 @@ class Presentation:
         if self.assignment is None:
             return True
         for r in self.relators:
-            e = sum(s * self.assignment[g - 1] for g, s in r)
+            e = sum(k * s * self.assignment[g - 1] for u, k in r for g, s in u)
             if self.modulus is None:
                 if e != 0:
                     return False
@@ -303,7 +346,8 @@ def presentation_matrix(p: Presentation) -> list[list[int]]:
 
 def fox_matrix(p: Presentation) -> list[list[FreeGroupRingElem]]:
     """Matrix with entry (i, j) the Fox derivative of relator j by a_i."""
-    return [[fox_derivative(r, i + 1) for r in p.relators] for i in range(p.gens)]
+    return [[fox_derivative(relator_word(r), i + 1) for r in p.relators]
+            for i in range(p.gens)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +420,7 @@ def alexander_polynomial(p: Presentation) -> Laurent:
             f"presentation deficiency is {p.gens - len(p.relators)}, expected 1")
     if p.gens == 1:
         return Laurent.one()
-    fox = [[abelianize_laurent(fox_derivative(r, i + 1), p.assignment)
+    fox = [[abelianize_laurent(fox_derivative(relator_word(r), i + 1), p.assignment)
             for r in p.relators] for i in range(p.gens)]
     # deficiency one: the matrix is g x (g-1); deleting any generator row
     # gives the same polynomial up to a unit.  Compute two of them and make
@@ -418,7 +462,7 @@ def _normalize_alexander(delta: Laurent) -> Laurent:
 
 def presentation_to_text(p: Presentation) -> str:
     lines = [f"gens {p.gens}"]
-    lines.extend(word_to_string(r) for r in p.relators)
+    lines.extend(word_to_string(relator_word(r)) for r in p.relators)
     if p.assignment is not None:
         mod = 0 if p.modulus is None else p.modulus
         lines.append("assign " + " ".join(str(a) for a in p.assignment) + f" mod {mod}")
@@ -431,7 +475,7 @@ def presentation_from_text(text: str) -> Presentation:
     if len(head) != 2 or head[0] != "gens":
         raise ValueError("presentation file must start with a 'gens <g>' line")
     gens = int(head[1])
-    relators: list[FreeWord] = []
+    relators: list[Relator] = []
     assignment = None
     modulus: Optional[int] = None
     for ln in lines[1:]:
@@ -445,6 +489,6 @@ def presentation_from_text(text: str) -> Presentation:
             if modulus == 0:
                 modulus = None
         else:
-            relators.append(word_from_string(ln))
+            relators.append(relator(word_from_string(ln)))
     return Presentation(gens=gens, relators=tuple(relators),
                         assignment=assignment, modulus=modulus)

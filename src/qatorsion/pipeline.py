@@ -19,8 +19,8 @@ from math import prod
 from typing import Optional, Sequence
 
 from .covers import (abelianized_minor, kanenobu_minor_closed_form,
-                     kanenobu_presentation)
-from .diagrams import kanenobu_diagram
+                     kanenobu_presentation, kanenobu_white_graph)
+from .diagrams import kanenobu_diagram, parity_reduced_diagram
 from .groupring import GroupRingElem
 from .lattice import CBound, GramLattice, QAVerdict, c_bound, qa_verdict
 from .skein import goeritz_invariants, mullins_lambda
@@ -126,12 +126,16 @@ def family_member(offset: int, n: int, casson_walker: Fraction,
                   bound: Optional[CBound] = None) -> FamilyRecord:
     """Compute and check the member K_{-10n-j, 10n+j+3} of family j = offset.
 
-    H_1 must have order 25.  When it is cyclic, the abelianized (4,4)
-    minor gives the torsion vector, the correction terms d = 2 tau - lambda
-    (lambda = casson_walker) and, given a bound C(25), the verdict; for the
-    base family the generator images and the minor must match their closed
+    The member's white graph holds each twist region as one weighted edge,
+    so every step below costs the same for every n.  H_1 must have order
+    25.  When it is cyclic, the abelianized (4,4) minor gives the torsion
+    vector, the correction terms d = 2 tau - lambda (lambda =
+    casson_walker) and, given a bound C(25), the verdict; for the base
+    family the generator images and the minor must match their closed
     forms, and H_1 must be cyclic.  The diagram must have determinant 25
-    and signature 0.
+    and signature 0: both come from the Goeritz form of the parity-reduced
+    diagram (each twist region cut to 1 or 2 crossings of its parity),
+    lifted to the true twist counts.
     """
     if not (0 <= offset <= 9):
         raise ValueError("family offset must be in 0..9")
@@ -162,7 +166,8 @@ def family_member(offset: int, n: int, casson_walker: Fraction,
                                  unit_pinned=False)
     elif offset == 0:
         _require(False, "the base family must have cyclic homology")
-    _g, det, sig = goeritz_invariants(kanenobu_diagram(p, q))
+    _g, det, sig = goeritz_invariants(
+        *parity_reduced_diagram(kanenobu_white_graph(p, q)))
     _require(det == 25, f"diagram determinant {det} != 25 at n = {n}")
     _require(sig == 0, f"diagram signature {sig} != 0 at n = {n}")
     return FamilyRecord(

@@ -19,7 +19,7 @@ state sum exists only as a test oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .diagrams import DiagramError, LinkDiagram
 from .intmat import symmetric_signature
@@ -267,9 +267,11 @@ def _rational_sqrt(x: Fraction):
 # Goeritz form, determinant, signature
 # ---------------------------------------------------------------------------
 
-def _goeritz_data(diagram: LinkDiagram, white: bool = True):
+def _goeritz_data(diagram: LinkDiagram, white: bool = True,
+                  multiplicity: Optional[Sequence[int]] = None):
     """Goeritz matrix for the chosen colour class, plus the correction term
-    of the spanning-surface signature formula.
+    of the spanning-surface signature formula; crossing ci counts
+    multiplicity[ci] times (default once).
 
     Returns (matrix, correction, region_faces).  The matrix is indexed by
     the regions of that colour except the one containing the unbounded
@@ -289,6 +291,7 @@ def _goeritz_data(diagram: LinkDiagram, white: bool = True):
     correction = 0
     fq = diagram.face_of_quadrant()
     for ci in range(len(diagram.crossings)):
+        m = 1 if multiplicity is None else multiplicity[ci]
         even_white = diagram.white_quadrants_are_even(ci)
         q_first, q_second = ((0, 2) if even_white == (target == 1)
                              else (1, 3))
@@ -300,19 +303,19 @@ def _goeritz_data(diagram: LinkDiagram, white: bool = True):
         # type II crossings (both strands oriented across the class axis the
         # same way) satisfy sign * eta == +1; they enter the correction
         if sign * eta == 1:
-            correction += eta
+            correction += m * eta
         if f1 == f2:
             continue
         i, j = index.get(f1), index.get(f2)
         if i is not None and j is not None:
-            g[i][j] -= eta
-            g[j][i] -= eta
+            g[i][j] -= m * eta
+            g[j][i] -= m * eta
         # diagonal entries collect all incident crossings, including those
         # shared with the dropped region
         if i is not None:
-            g[i][i] += eta
+            g[i][i] += m * eta
         if j is not None:
-            g[j][j] += eta
+            g[j][j] += m * eta
     return g, correction, index
 
 
@@ -322,19 +325,25 @@ def goeritz_matrix(diagram: LinkDiagram) -> list[list[int]]:
     return g
 
 
-def goeritz_invariants(diagram: LinkDiagram) -> tuple[list[list[int]], int, int]:
+def goeritz_invariants(diagram: LinkDiagram,
+                       multiplicity: Optional[Sequence[int]] = None
+                       ) -> tuple[list[list[int]], int, int]:
     """(Goeritz matrix, determinant, signature) of the diagram.
 
     determinant = |det G|; signature by the spanning-surface formula
     sig(G) - mu, where mu sums the Goeritz signs of the crossings whose two
-    strands cross the white axis in the same direction.
+    strands cross the white axis in the same direction.  With
+    `multiplicity`, crossing ci stands for multiplicity[ci] parallel
+    crossings like it: its share of G and of mu is scaled by that count,
+    which lifts a parity-reduced diagram (`diagrams.parity_reduced_diagram`)
+    to the full one.
     """
     if not diagram.is_connected():
         raise DiagramError("Goeritz invariants need a connected diagram")
     if diagram.n_crossings == 0:
         return [], 1, 0
     from .intmat import det_bareiss
-    g, correction, _ = _goeritz_data(diagram, white=True)
+    g, correction, _ = _goeritz_data(diagram, white=True, multiplicity=multiplicity)
     det = abs(det_bareiss(g))
     sigma = symmetric_signature(g) - correction
     return g, det, sigma

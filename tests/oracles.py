@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from qatorsion.covers import BOUNDARY, WhiteGraph
 from qatorsion.diagrams import End, LinkDiagram
 from qatorsion.intmat import invert_rational, smith_normal_form
 from qatorsion.lattice import GramLattice, enumerate_in_ellipsoid
@@ -479,3 +480,80 @@ def kauffman_bracket_naive(diagram: LinkDiagram) -> Laurent:
 # ---------------------------------------------------------------------------
 # Jones polynomial
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# The twist-family white graph with one unit edge per crossing
+# ---------------------------------------------------------------------------
+
+def unit_kanenobu_white_graph(p: int, q: int) -> WhiteGraph:
+    """K_{p,q}'s white graph with |p| and |q| parallel unit edges, built edge
+    by edge; the bundled graph's `expanded()` must equal it exactly."""
+    edges: list = []
+
+    def add(a, b, s) -> int:
+        edges.append((a, b, s))
+        return len(edges) - 1
+
+    sp = 1 if p > 0 else -1
+    sq = 1 if q > 0 else -1
+    p_bundle = [add(1, 2, sp) for _ in range(abs(p))]
+    e_f = add(1, 4, 1)
+    e_g = add(2, 3, -1)
+    q_bundle = [add(3, 4, sq) for _ in range(abs(q))]
+    c1 = add(1, BOUNDARY, 1)
+    c2 = add(2, BOUNDARY, -1)
+    c3a = add(3, BOUNDARY, -1)
+    c3b = add(3, BOUNDARY, -1)
+    c4a = add(4, BOUNDARY, 1)
+    c4b = add(4, BOUNDARY, 1)
+
+    def end_at(edge_id: int, vertex) -> int:
+        a, b, _ = edges[edge_id]
+        if a == vertex:
+            return 2 * edge_id
+        if b == vertex:
+            return 2 * edge_id + 1
+        raise AssertionError
+
+    cyc1 = [end_at(e, 1) for e in p_bundle] + [end_at(e_f, 1), end_at(c1, 1)]
+    cyc2 = [end_at(e_g, 2)] + [end_at(e, 2) for e in reversed(p_bundle)] + [end_at(c2, 2)]
+    cyc3 = ([end_at(e, 3) for e in q_bundle]
+            + [end_at(e_g, 3), end_at(c3a, 3), end_at(c3b, 3)])
+    cyc4 = ([end_at(e_f, 4)] + [end_at(e, 4) for e in reversed(q_bundle)]
+            + [end_at(c4a, 4), end_at(c4b, 4)])
+    cyc_b = [end_at(c1, BOUNDARY), end_at(c4b, BOUNDARY), end_at(c4a, BOUNDARY),
+             end_at(c3b, BOUNDARY), end_at(c3a, BOUNDARY), end_at(c2, BOUNDARY)]
+    return WhiteGraph(vertices=4, edges=tuple(edges),
+                      cyclic=(tuple(cyc1), tuple(cyc2), tuple(cyc3),
+                              tuple(cyc4), tuple(cyc_b)))
+
+
+def unit_white_graph_relators(graph: WhiteGraph) -> tuple:
+    """The white-graph recipe letter by letter on a graph of unit edges:
+    around vertex v, (a_j^-1 a_v)^sign or a_v^sign per edge-end."""
+    relators = []
+    for v in range(1, graph.vertices + 1):
+        letters: list = []
+        for end_id in graph.cyclic[v - 1]:
+            a, b, sign = graph.edges[end_id // 2]
+            assert sign in (1, -1)
+            other = b if end_id % 2 == 0 else a
+            u = [(v, 1)] if other == BOUNDARY else [(other, -1), (v, 1)]
+            letters.extend(u if sign == 1 else [(g, -s) for g, s in reversed(u)])
+        relators.append(tuple(letters))
+    return tuple(relators)
+
+
+def letter_scan_derivative(word, i: int, assignment, modulus: int) -> list[Fraction]:
+    """Coefficients of ab(d word / d a_i) in Q[Z/N], one letter at a time."""
+    out = [Fraction(0)] * modulus
+    prefix = 0
+    for g, s in word:
+        if g == i:
+            if s == 1:
+                out[prefix % modulus] += 1
+            else:
+                out[(prefix - assignment[g - 1]) % modulus] -= 1
+        prefix += s * assignment[g - 1]
+    return out

@@ -8,7 +8,8 @@ from qatorsion.covers import (BOUNDARY,
                               homology_invariants, kanenobu_minor_closed_form,
                               kanenobu_presentation, kanenobu_white_graph,
                               lens_presentation, white_graph_presentation)
-from qatorsion.foxcalc import gen, winv, wmul, wpow, wreduce
+from qatorsion.foxcalc import (gen, relator, relator_word, winv, wmul, wpow,
+                               wreduce)
 from qatorsion.groupring import GroupRingElem
 from qatorsion.torsion import torsion_from_minor
 
@@ -26,14 +27,15 @@ def test_relators_match_the_displayed_words():
     for n in (0, 1, 3):
         cover = kanenobu_presentation(-10 * n, 10 * n + 3)
         for got, want in zip(cover.presentation.relators, literal_relators(n)):
-            assert wreduce(got) == wreduce(want)
+            assert wreduce(relator_word(got)) == wreduce(want)
 
 
 def test_relator_b2_shape_at_small_parameters():
     cover = kanenobu_presentation(0, 3)
     a1, a2, a3, a4 = gen(1), gen(2), gen(3), gen(4)
-    assert wreduce(cover.presentation.relators[0]) == wreduce(wmul(winv(a4), a1, a1))
-    assert wreduce(cover.presentation.relators[2]) == wreduce(
+    relators = [relator_word(r) for r in cover.presentation.relators]
+    assert wreduce(relators[0]) == wreduce(wmul(winv(a4), a1, a1))
+    assert wreduce(relators[2]) == wreduce(
         wmul(wpow(wmul(winv(a4), a3), 3), winv(a3), a2, winv(a3), winv(a3)))
 
 
@@ -62,7 +64,8 @@ def test_trefoil_white_graph():
                        edges=((1, BOUNDARY, 1),) * 3,
                        cyclic=((0, 2, 4), (5, 3, 1)))
     cover = white_graph_presentation(graph)
-    assert cover.presentation.relators == (((1, 1), (1, 1), (1, 1)),)
+    assert [relator_word(r) for r in cover.presentation.relators] == [
+        ((1, 1), (1, 1), (1, 1))]
     factors, images = homology(cover)
     assert factors == [3] and images == (1,)
 
@@ -154,13 +157,69 @@ def test_white_graph_json_round_trip():
 def test_minor_matrix_entries():
     # spot-check two abelianized Fox-matrix entries of the (4,4) minor:
     # entry (1, 2) is n*sigma and entry (3, 2) is t^22
-    from qatorsion.foxcalc import abelianize_word_derivative
+    from qatorsion.foxcalc import abelianize_relator_derivative
     for n in (1, 2):
         pres = kanenobu_presentation(-10 * n, 10 * n + 3).presentation
         sigma = GroupRingElem.from_terms(25, [(5 * k, 2) for k in range(5)])
-        e12 = abelianize_word_derivative(pres.relators[1], 1,
-                                         pres.assignment, 25)
+        e12 = abelianize_relator_derivative(pres.relators[1], 1,
+                                            pres.assignment, 25)
         assert e12 == sigma.scale(n)
-        e32 = abelianize_word_derivative(pres.relators[1], 3,
-                                         pres.assignment, 25)
+        e32 = abelianize_relator_derivative(pres.relators[1], 3,
+                                            pres.assignment, 25)
         assert e32 == GroupRingElem.t_power(25, 22)
+
+
+# ---------------------------------------------------------------------------
+# Twist regions as weighted edges
+# ---------------------------------------------------------------------------
+
+FAMILY = [(j, n) for j in range(10) for n in range(13)]
+
+
+def test_expanded_graph_is_the_unit_edge_graph():
+    from oracles import unit_kanenobu_white_graph
+    for p in range(-7, 8):
+        for q in range(-7, 8):
+            graph = kanenobu_white_graph(p, q)
+            assert len(graph.edges) == 6 + (p != 0) + (q != 0)
+            assert graph.expanded() == unit_kanenobu_white_graph(p, q)
+    for j, n in FAMILY:
+        p, q = -10 * n - j, 10 * n + j + 3
+        unit = unit_kanenobu_white_graph(p, q)
+        assert kanenobu_white_graph(p, q).expanded() == unit
+        assert unit.expanded() == unit
+
+
+def test_expanded_presentation_reproduces_the_letter_relators():
+    from oracles import unit_kanenobu_white_graph, unit_white_graph_relators
+    for j, n in FAMILY:
+        p, q = -10 * n - j, 10 * n + j + 3
+        graph = kanenobu_white_graph(p, q)
+        want = unit_white_graph_relators(unit_kanenobu_white_graph(p, q))
+        unit = white_graph_presentation(graph.expanded()).presentation
+        assert all(abs(k) == 1 for r in unit.relators for _u, k in r)
+        assert tuple(relator_word(r) for r in unit.relators) == want
+        bundled = white_graph_presentation(graph).presentation
+        assert sum(len(r) for r in bundled.relators) == 2 * len(graph.edges) - 4
+        assert tuple(relator_word(r) for r in bundled.relators) == want
+    for n in range(4):
+        bundled = kanenobu_presentation(-10 * n, 10 * n + 3).presentation
+        assert tuple(relator_word(r) for r in bundled.relators) == literal_relators(n)
+
+
+def test_weighted_edge_needs_a_nonzero_integer():
+    for weight in (0, True, False, 1.0, -2.5, "1", None):
+        with pytest.raises(ValueError):
+            WhiteGraph(vertices=1, edges=((1, BOUNDARY, weight),), cyclic=((0,), (1,)))
+    with pytest.raises(ValueError):
+        WhiteGraph(vertices=1, edges=((True, BOUNDARY, 3),), cyclic=((0,), (1,)))
+
+
+def test_weighted_trefoil_is_the_three_edge_graph():
+    graph = WhiteGraph(vertices=1, edges=((1, BOUNDARY, 3),), cyclic=((0,), (1,)))
+    unit = WhiteGraph(vertices=1, edges=((1, BOUNDARY, 1),) * 3,
+                      cyclic=((0, 2, 4), (5, 3, 1)))
+    assert graph.expanded() == unit
+    cover = white_graph_presentation(graph)
+    assert cover.presentation.relators == (relator(gen(1), 3),)
+    assert homology(cover) == ([3], (1,))

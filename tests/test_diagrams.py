@@ -3,8 +3,8 @@ import pytest
 from qatorsion.covers import BOUNDARY, WhiteGraph, kanenobu_white_graph
 from qatorsion.diagrams import (DiagramError, LinkDiagram, braid_closure,
                                 figure_eight_diagram, kanenobu_diagram,
-                                torus_knot_diagram, unknot_diagram,
-                                white_graph_diagram)
+                                parity_reduced_diagram, torus_knot_diagram,
+                                unknot_diagram, white_graph_diagram)
 
 
 def test_arc_labels_must_appear_twice():
@@ -110,3 +110,44 @@ def test_trefoil_graph_diagram_matches_homology_determinant():
     d = white_graph_diagram(graph)
     from qatorsion.skein import goeritz_invariants
     assert goeritz_invariants(d)[1] == 3
+
+
+def test_parity_reduced_diagram_lifts_to_the_full_goeritz_data():
+    # random plane rotation systems with weighted edges; for knots the
+    # lifted determinant and signature equal the full diagram's, for links
+    # (whose components each diagram orients on its own) the determinant
+    import random
+
+    from qatorsion.skein import goeritz_invariants
+    rng = random.Random(7)
+    seen = {1: 0, 2: 0}
+    while min(seen.values()) < 40:
+        k = rng.randint(1, 3)
+        verts = list(range(1, k + 1)) + [BOUNDARY]
+        edges = []
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.sample(verts, 2)
+            edges.append((a, b, rng.choice((-1, 1)) * rng.randint(1, 6)))
+        ends = {v: [] for v in verts}
+        for e, (a, b, _w) in enumerate(edges):
+            ends[a].append(2 * e)
+            ends[b].append(2 * e + 1)
+        cyclic = tuple(tuple(rng.sample(ends[v], len(ends[v]))) for v in verts)
+        try:
+            graph = WhiteGraph(vertices=k, edges=tuple(edges), cyclic=cyclic)
+            full = white_graph_diagram(graph)
+        except (DiagramError, ValueError):
+            continue  # not planar, or disconnected
+        if not full.is_connected():
+            continue
+        reduced, multiplicity = parity_reduced_diagram(graph)
+        assert reduced.n_crossings == sum(2 - abs(w) % 2 for _a, _b, w in edges)
+        assert sum(multiplicity) == full.n_crossings
+        assert reduced.n_components() == full.n_components()
+        want = goeritz_invariants(full)[1:]
+        got = goeritz_invariants(reduced, multiplicity)[1:]
+        if full.n_components() == 1:
+            assert got == want, graph
+        else:
+            assert got[0] == want[0], graph
+        seen[min(full.n_components(), 2)] += 1

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from qatorsion.foxcalc import (FreeGroupRingElem, Presentation,
                                abelianize,
-                               abelianize_word_derivative,
+                               abelianize_relator_derivative,
                                alexander_polynomial, fox_derivative,
                                fox_matrix, gen, presentation_from_text,
                                presentation_matrix, presentation_to_text,
-                               winv, wmul, word_from_string, word_to_string,
+                               relator, relator_word, winv, wmul,
+                               word_from_string, word_to_string,
                                wpow, wreduce)
 from qatorsion.laurent import Laurent
 
@@ -84,21 +85,21 @@ def test_fast_derivative_abelianization_agrees():
         w = rand_word(rng, 30)
         for i in range(1, 5):
             assert (abelianize(fox_derivative(w, i), assign, 25)
-                    == abelianize_word_derivative(w, i, assign, 25))
+                    == abelianize_relator_derivative(relator(w), i, assign, 25))
 
 
 def test_presentation_matrix_examples():
     assert presentation_matrix(
-        Presentation(gens=1, relators=(wpow(gen(1), 7),))) == [[7]]
+        Presentation(gens=1, relators=(relator(gen(1), 7),))) == [[7]]
     assert presentation_matrix(
-        Presentation(gens=1, relators=(gen(1),))) == [[1]]
+        Presentation(gens=1, relators=(relator(gen(1)),))) == [[1]]
 
 
 def test_fox_matrix_examples():
     p = 5
-    fm = fox_matrix(Presentation(gens=1, relators=(wpow(gen(1), p),)))
+    fm = fox_matrix(Presentation(gens=1, relators=(relator(gen(1), p),)))
     assert fm[0][0] == FreeGroupRingElem({wpow(gen(1), k): 1 for k in range(p)})
-    empty = fox_matrix(Presentation(gens=2, relators=((), gen(2))))
+    empty = fox_matrix(Presentation(gens=2, relators=((), relator(gen(2)))))
     assert empty[0][0].is_zero() and empty[1][0].is_zero()
 
 
@@ -115,7 +116,8 @@ def test_alexander_unknot_and_trefoil():
     x1, x2, x3 = gen(1), gen(2), gen(3)
     r1 = wmul(x1, x2, winv(x1), winv(x3))
     r2 = wmul(x2, x3, winv(x2), winv(x1))
-    trefoil = Presentation(gens=3, relators=(r1, r2), assignment=(1, 1, 1),
+    trefoil = Presentation(gens=3, relators=(relator(r1), relator(r2)),
+                           assignment=(1, 1, 1),
                            modulus=None)
     assert alexander_polynomial(trefoil) == Laurent({-1: 1, 0: -1, 1: 1})
 
@@ -134,7 +136,8 @@ def test_word_string_round_trip():
 
 def test_presentation_text_round_trip():
     pres = Presentation(gens=4,
-                        relators=(wmul(winv(gen(1)), gen(2)), gen(4)),
+                        relators=(relator(wmul(winv(gen(1)), gen(2))),
+                                  relator(gen(4))),
                         assignment=(13, 3, 6, 1), modulus=25)
     text = presentation_to_text(pres)
     back = presentation_from_text(text)
@@ -145,3 +148,26 @@ def test_presentation_text_round_trip():
     # infinite-cyclic assignments use mod 0
     z = Presentation(gens=1, relators=(), assignment=(1,), modulus=None)
     assert presentation_from_text(presentation_to_text(z)) == z
+
+
+runs = st.lists(st.tuples(letters.filter(lambda w: len(w) <= 4),
+                          st.integers(-60, 60)), max_size=5).map(tuple)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(runs, st.integers(1, 4), st.sampled_from((1, 2, 7, 25)),
+       st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+def test_run_derivative_equals_the_written_out_word(r, i, modulus, assign):
+    from oracles import letter_scan_derivative
+    word = relator_word(r)
+    assert (abelianize_relator_derivative(r, i, assign, modulus).coeffs
+            == tuple(letter_scan_derivative(word, i, assign, modulus)))
+    if len(word) <= 60:
+        assert (abelianize_relator_derivative(r, i, assign, modulus)
+                == abelianize(fox_derivative(word, i), assign, modulus))
+    bundled = Presentation(gens=4, relators=(r,), assignment=tuple(assign),
+                           modulus=modulus)
+    written = Presentation(gens=4, relators=(relator(word),),
+                           assignment=tuple(assign), modulus=modulus)
+    assert presentation_matrix(bundled) == presentation_matrix(written)
+    assert bundled.check_assignment() == written.check_assignment()

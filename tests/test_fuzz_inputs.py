@@ -1,12 +1,9 @@
 """Arbitrary text in each of the five input formats either parses or ends
 with exit status 1 and an `error:` line; it never escapes as a traceback.
 
-The PD code, presentation and catalog texts go through the subcommand that
-reads them.  A Gram file goes through `mlattice` only when it fails to
-parse: a parsed form with a large discriminant starts a long m
-computation, which is not a parser question.  No subcommand reads white
-graphs, so `WhiteGraph.from_json` is called directly and may raise only
-ValueError.
+The PD code, presentation, Gram and catalog texts go through the
+subcommand that reads them.  No subcommand reads white graphs, so
+`WhiteGraph.from_json` is called directly and may raise only ValueError.
 """
 
 import contextlib
@@ -18,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qatorsion.cli import main
-from qatorsion.covers import WhiteGraph
+from qatorsion.covers import BOUNDARY, WhiteGraph, white_graph_presentation
 from qatorsion.diagrams import LinkDiagram
-from qatorsion.foxcalc import presentation_from_text
+from qatorsion.foxcalc import presentation_from_text, relator_word
 from qatorsion.lattice import GramLattice, catalog_from_json
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
@@ -69,11 +66,9 @@ def _run(argv):
     return code, err.getvalue()
 
 
-def _check(path, text, parse, argv, run_parsed=True):
+def _check(path, text, parse, argv):
     path.write_text(text, encoding="utf-8")
     parsed = _parses(parse, path)
-    if parsed and not run_parsed:
-        return
     code, err = _run(argv + [str(path)])
     assert code in ((0, 1) if parsed else (1,)), (text, code, err)
     if code == 1:
@@ -96,7 +91,7 @@ def test_presentation_text(input_path, text):
 @given(text=_json_texts)
 def test_gram_json(input_path, text):
     _check(input_path, text, lambda t: GramLattice.from_json_dict(json.loads(t)),
-           ["mlattice", "--gram"], run_parsed=False)
+           ["mlattice", "--gram"])
 
 
 @FUZZ
@@ -113,3 +108,50 @@ def test_white_graph_json(text):
         WhiteGraph.from_json(text)
     except ValueError:
         pass
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """White-graph JSON whose cyclic orders fit its edges; the weights are
+    nonzero integers, or 0, booleans and floats, which must be refused."""
+    k = draw(st.integers(1, 3))
+    verts = list(range(1, k + 1)) + [BOUNDARY]
+    weight = st.integers(-40, 40) | st.booleans() | st.floats(-3, 3)
+    edges = draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts),
+                                    weight), min_size=1, max_size=5))
+    ends = {v: [] for v in verts}
+    for e, (a, b, _w) in enumerate(edges):
+        ends[a].append(2 * e)
+        ends[b].append(2 * e + 1)
+    return {"vertices": k, "edges": [list(e) for e in edges],
+            "cyclic": [draw(st.permutations(ends[v])) for v in verts]}
+
+
+def _cover_words(graph):
+    try:
+        cover = white_graph_presentation(graph)
+    except ValueError as exc:
+        return type(exc)
+    return ([relator_word(r) for r in cover.presentation.relators], cover.factors,
+            cover.g_classes)
+
+
+@FUZZ
+@given(data=_weighted_graphs())
+def test_weighted_white_graph(data):
+    weights = [w for _a, _b, w in data["edges"]]
+    text = json.dumps(data)
+    direct = dict(vertices=data["vertices"], edges=tuple(map(tuple, data["edges"])),
+                  cyclic=tuple(map(tuple, data["cyclic"])))
+    if not all(type(w) is int and w != 0 for w in weights):
+        with pytest.raises(ValueError):
+            WhiteGraph.from_json(text)
+        with pytest.raises(ValueError):
+            WhiteGraph(**direct)
+        return
+    graph = WhiteGraph.from_json(text)
+    assert graph == WhiteGraph(**direct)
+    unit = graph.expanded()
+    assert len(unit.edges) == sum(abs(w) for w in weights)
+    assert unit.expanded() == unit
+    assert _cover_words(graph) == _cover_words(unit)

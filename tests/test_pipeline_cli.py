@@ -299,8 +299,8 @@ def test_cli_verdict_runs_the_member_checks(capsys, monkeypatch, small_catalog):
 
     real = pipeline.goeritz_invariants
 
-    def wrong_determinant(diagram):
-        g, det, sig = real(diagram)
+    def wrong_determinant(diagram, multiplicity):
+        g, det, sig = real(diagram, multiplicity)
         return g, det + 1, sig
 
     monkeypatch.setattr(pipeline, "goeritz_invariants", wrong_determinant)
@@ -308,6 +308,29 @@ def test_cli_verdict_runs_the_member_checks(capsys, monkeypatch, small_catalog):
                               "--catalog", str(small_catalog))
     assert code == 2
     assert "assertion failed" in err and "determinant 26 != 25" in err
+
+
+def test_cli_verdict_catches_a_flipped_bundle_crossing_type(capsys, monkeypatch,
+                                                            small_catalog):
+    # the member's signature comes from its parity-reduced diagram: report
+    # the wrong sign for crossing 0, the lead crossing of the p = -80 twist
+    # region, which stands for 79 of its crossings
+    import qatorsion.pipeline as pipeline
+
+    real = pipeline.parity_reduced_diagram
+
+    def flipped(graph):
+        diagram, multiplicity = real(graph)
+        assert multiplicity[:2] == (79, 1)
+        sign = diagram.crossing_sign
+        diagram.crossing_sign = lambda ci: -sign(ci) if ci == 0 else sign(ci)
+        return diagram, multiplicity
+
+    monkeypatch.setattr(pipeline, "parity_reduced_diagram", flipped)
+    code, _out, err = run_cli(capsys, "verdict", "--n", "8",
+                              "--catalog", str(small_catalog))
+    assert code == 2
+    assert err.strip() == "assertion failed: diagram signature 79 != 0 at n = 8"
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +373,93 @@ def test_cli_catalog_needs_a_positive_determinant(capsys):
         code, out, err = run_cli(capsys, "catalog", "--det", det)
         assert code == 1 and out == ""
         assert err.strip() == f"error: the determinant must be >= 1, got {det}"
+
+
+def test_cli_mlattice_and_catalog_refuse_a_discriminant_above_the_cap(tmp_path, capsys):
+    import time
+
+    from qatorsion.lattice import MAX_CATALOG_DISC, MAX_M_DISC
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps([[-1000, 0], [0, -1000]]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mlattice", "--gram", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.strip() == (f"error: discriminant 1000000 is above MAX_M_DISC = "
+                           f"{MAX_M_DISC}, the cap on computing m")
+    code, out, err = run_cli(capsys, "catalog", "--det", str(MAX_CATALOG_DISC + 1))
+    assert code == 1 and out == ""
+    assert err.strip() == (f"error: determinant {MAX_CATALOG_DISC + 1} is above "
+                           f"MAX_CATALOG_DISC = {MAX_CATALOG_DISC}, the cap on "
+                           "catalog builds")
+    code, out, err = run_cli(capsys, "cbound", "--det", str(MAX_CATALOG_DISC + 1))
+    assert code == 1 and "MAX_CATALOG_DISC" in err
+    path.write_text(json.dumps([[-MAX_M_DISC]]))
+    code, out, _ = run_cli(capsys, "mlattice", "--gram", str(path))
+    assert code == 0 and out.strip() == f"{1 - MAX_M_DISC}/4"
+
+
+# ---------------------------------------------------------------------------
+# Members at constant cost in n, checked against the full diagram path
+# ---------------------------------------------------------------------------
+
+def test_bundled_member_matches_the_full_path():
+    # full path: the unit-edge graph, its relators written out letter by
+    # letter and differentiated one letter at a time, and the Goeritz form
+    # of the member's full 8 + |p| + |q| crossing diagram
+    from oracles import letter_scan_derivative
+
+    from qatorsion.covers import kanenobu_white_graph, white_graph_presentation
+    from qatorsion.foxcalc import determinant_cofactor, relator_word
+    from qatorsion.groupring import GroupRingElem
+    from qatorsion.pipeline import family_casson_walker, family_member
+    from qatorsion.torsion import d_invariants, torsion_from_minor
+    for j in range(10):
+        lam = family_casson_walker(j)
+        for n in range(13):
+            record = family_member(j, n, lam)
+            p, q = family_parameters(j, n)
+            cover = white_graph_presentation(kanenobu_white_graph(p, q).expanded())
+            assert record.homology_factors == cover.factors
+            assert record.homology_images == cover.g_classes
+            if cover.g_classes is None:
+                assert record.minor is record.tau is record.d_values is None
+            else:
+                pres = cover.presentation
+                words = [relator_word(r) for r in pres.relators[:3]]
+                minor = determinant_cofactor(
+                    [[GroupRingElem(25, letter_scan_derivative(w, i, pres.assignment, 25))
+                      for w in words] for i in (1, 2, 3)],
+                    GroupRingElem.zero(25), GroupRingElem.one(25))
+                tau = torsion_from_minor(minor, cover.g_classes[3], cover.h_classes[3])
+                assert record.minor == minor
+                assert record.tau.values == tau.values
+                assert record.d_values == d_invariants(tau, lam)
+            diagram = kanenobu_diagram(p, q)
+            assert diagram.n_crossings == 8 + abs(p) + abs(q)
+            _g, det, sig = goeritz_invariants(diagram)
+            assert (record.determinant, record.signature) == (det, sig) == (25, 0)
+
+
+def test_member_at_a_million_twists_within_budget():
+    import time
+
+    from qatorsion.covers import kanenobu_minor_closed_form
+    from qatorsion.pipeline import family_casson_walker, family_member
+    lam = family_casson_walker(0)
+    start = time.perf_counter()
+    record = family_member(0, 10 ** 6, lam)
+    elapsed = time.perf_counter() - start
+    assert record.minor == kanenobu_minor_closed_form(10 ** 6)
+    assert record.determinant == 25 and record.signature == 0
+    assert elapsed < 1.0, f"one member at n = 10^6 took {elapsed:.2f} s"
+
+
+def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
+    import runpy
+    import sys
+    monkeypatch.setattr(sys, "argv", ["qatorsion", "homology", "--kanenobu", "-10", "13"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("qatorsion", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "Z/25; a1->t^13 a2->t^3 a3->t^6 a4->t\n"
