@@ -17,6 +17,22 @@ seen: from then on every coset has a vector within R, so its maximum is
 among those enumerated.  R never needs to pass sum |G_ij|, a provable
 radius: x = G^{-1} chi moves by 2Z^r into the cube [-1, 1)^r, where
 -chi^2 = -x^T G x <= sum |G_ij|.
+
+m adds over orthogonal sums.  The characteristic cosets of L1 + L2 are
+the pairs of cosets of L1 and L2, and chi^2 and the rank add, so each
+coset maximum of (chi^2 + rank) / 4 is the sum of the two maxima, and the
+minimum over pairs is the sum of the two minima.  m_invariant therefore
+splits G into the connected components of its off-diagonal support and
+adds their m; a <-1> summand (m = 0) costs nothing.
+
+The ellipsoid search is the Fincke-Pohst enumeration, on integers.  Every
+form it is given is integral (-G, or +-adj) with an integer radius.  The
+LDL factorisation Q(x) = sum_k d_k (x_k + sum_{i>k} l_ik x_i)^2 is done
+once in rationals; level k is scaled by M_k, the lcm of the denominators
+of its l_ik, and all levels by one common denominator N, so that each
+level's term is an integer c_k (M_k x_k + S_k)^2 compared with an integer
+remaining radius, and its candidates are exactly the x_k with
+|M_k x_k + S_k| <= isqrt(remaining // c_k).
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 from .intmat import det_bareiss
@@ -118,7 +134,7 @@ class _ShortVectors:
                ) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
         if radius > self._radius:
             by_norm: dict[int, list] = {}
-            for v in enumerate_in_ellipsoid(self._form, Fraction(radius)):
+            for v in enumerate_in_ellipsoid(self._form, radius):
                 if any(v):
                     image = tuple(_dot(row, v) for row in self._form)
                     by_norm.setdefault(_dot(v, image), []).append((v, image))
@@ -131,7 +147,7 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact ellipsoid enumeration (positive definite rational forms)
+# Exact ellipsoid enumeration (positive definite integer forms)
 # ---------------------------------------------------------------------------
 
 def _ldl(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -149,52 +165,61 @@ def _ldl(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]
     return l, d
 
 
-def _floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0, exact."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    num, den = x.numerator, x.denominator
-    return isqrt(num * den) // den
-
-
-def enumerate_in_ellipsoid(form: Sequence[Sequence[Fraction]], radius: Fraction,
+def enumerate_in_ellipsoid(form: Sequence[Sequence[int]], radius: int,
                            parity: Optional[Sequence[int]] = None
                            ) -> Iterable[tuple[int, ...]]:
     """All integer vectors x (including 0 when parity allows) with
-    x^T A x <= radius, A positive definite; optionally restricted to
-    x = parity mod 2.  Exact rational arithmetic throughout."""
+    x^T A x <= radius, A a positive definite integer form and radius an
+    integer; optionally restricted to x = parity mod 2.  Vectors come
+    depth-first from the last coordinate down, each level in increasing
+    order.  Only the LDL is rational; every search node is integer."""
     r = len(form)
     if r == 0:
         yield ()
         return
-    a = [[Fraction(x) for x in row] for row in form]
-    l, d = _ldl(a)
-    radius = Fraction(radius)
-    # Q(x) = sum_k d_k (x_k + sum_{i>k} l_ik x_i)^2, processed from k = r-1 down
+    l, d = _ldl([[Fraction(x) for x in row] for row in form])
+    # Q(x) = sum_k d_k (x_k + sum_{i>k} l_ik x_i)^2.  With M_k the lcm of the
+    # denominators of l_ik (i > k) and N a common denominator of every
+    # d_k / M_k^2, N Q(x) = sum_k c_k (M_k x_k + S_k)^2 with integers
+    # c_k = N d_k / M_k^2 and S_k = sum_{i>k} (M_k l_ik) x_i.
+    scale = [lcm(*(l[i][k].denominator for i in range(k + 1, r))) for k in range(r)]
+    common = lcm(*((d[k] / scale[k] ** 2).denominator for k in range(r)))
+    coef = [int(common * d[k] / scale[k] ** 2) for k in range(r)]
+    shift = [[(i, int(scale[k] * l[i][k])) for i in range(k + 1, r) if l[i][k]]
+             for k in range(r)]
+    step = 1 if parity is None else 2
     x = [0] * r
+    rem = [0] * r      # N * radius minus the terms of the levels above k
+    offset = [0] * r   # S_k
+    ranges: list = [None] * r
 
-    def rec(k: int, remaining: Fraction):
-        if k < 0:
-            yield tuple(x)
-            return
-        shift = sum(l[i][k] * x[i] for i in range(k + 1, r))
-        # d_k (x_k + shift)^2 <= remaining
-        bound = remaining / d[k]
-        root = _floor_sqrt(bound)
-        lo_f = -shift - root - 1
-        hi_f = -shift + root + 1
-        lo = int(lo_f) - 2
-        hi = int(hi_f) + 2
-        for cand in range(lo, hi + 1):
-            if parity is not None and (cand - parity[k]) % 2:
-                continue
-            val = d[k] * (cand + shift) ** 2
-            if val <= remaining:
-                x[k] = cand
-                yield from rec(k - 1, remaining - val)
-        x[k] = 0
+    def candidates(k: int) -> range:
+        # c_k (M_k x_k + S_k)^2 <= rem_k  <=>  |M_k x_k + S_k| <= t
+        m = scale[k]
+        s = offset[k] = sum(x[i] * a for i, a in shift[k])
+        t = isqrt(rem[k] // coef[k])
+        lo = -((t + s) // m)
+        if parity is not None and (lo - parity[k]) % 2:
+            lo += 1
+        return range(lo, (t - s) // m + 1, step)
 
-    yield from rec(r - 1, radius)
+    k = r - 1
+    rem[k] = common * radius
+    ranges[k] = iter(candidates(k))
+    while k < r:
+        if k == 0:
+            for x[0] in ranges[0]:
+                yield tuple(x)
+            k = 1
+            continue
+        for x[k] in ranges[k]:
+            v = scale[k] * x[k] + offset[k]
+            k -= 1
+            rem[k] = rem[k + 1] - coef[k + 1] * v * v
+            ranges[k] = iter(candidates(k))
+            break
+        else:
+            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +236,18 @@ def _adjugate(g: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 # m costs Omega(D), since every one of the D characteristic cosets gets its
-# own maximum.  At the cap (2-core VM, Python 3.11.7): <-10000> 0.5 s,
-# diag(-100, -100) 0.6 s, diag(-10, -10, -10, -10) 2.4 s.
+# own maximum.  The cap applies to the whole discriminant, before m splits
+# into orthogonal blocks.  At the cap (2-core VM, Python 3.11.7): <-10000>
+# 0.15 s, [[-100, 1], [1, -100]] 0.2 s, the rank-4 tridiagonal form with
+# diagonal -10 and off-diagonal 1 (D = 9701) 1.0 s; diag(-10, -10, -10, -10)
+# splits into four blocks and takes 2 ms.
 MAX_M_DISC = 10_000
+
+
+def _check_m_disc(disc: int) -> None:
+    if disc > MAX_M_DISC:
+        raise LatticeError(f"discriminant {disc} is above MAX_M_DISC = {MAX_M_DISC}, "
+                           "the cap on computing m")
 
 
 def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]:
@@ -221,9 +255,7 @@ def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]
     maximum of chi^2 over the coset (a negative rational, or 0 for the
     empty lattice).  Refuses D above MAX_M_DISC."""
     g, r, disc = lattice.gram, lattice.rank, lattice.disc
-    if disc > MAX_M_DISC:
-        raise LatticeError(f"discriminant {disc} is above MAX_M_DISC = {MAX_M_DISC}, "
-                           "the cap on computing m")
+    _check_m_disc(disc)
     adj = _adjugate(g)
     sign = (-1) ** (r + 1)  # sign * adj = D (-G^{-1}) is positive definite
     form = [[sign * x for x in row] for row in adj]
@@ -247,10 +279,40 @@ def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]
     return {label: Fraction(-q, disc) for label, q in least.items()}
 
 
+def _orthogonal_blocks(g: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The connected components of the off-diagonal support of G: index
+    sets, each increasing, ordered by their least index."""
+    r = len(g)
+    seen = [False] * r
+    blocks = []
+    for start in range(r):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in range(r):
+                if g[i][j] and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
 def m_invariant(lattice: GramLattice) -> Fraction:
-    """min over characteristic cosets of max (chi^2 + rank)/4."""
-    maxima = coset_square_maxima(lattice)
-    return min((sq + lattice.rank) / 4 for sq in maxima.values())
+    """min over characteristic cosets of max (chi^2 + rank)/4, as the sum of
+    that minimum over the orthogonal blocks of the Gram matrix.  Refuses a
+    lattice whose whole discriminant is above MAX_M_DISC."""
+    _check_m_disc(lattice.disc)
+    g = lattice.gram
+    total = Fraction(0)
+    for block in _orthogonal_blocks(g):
+        part = GramLattice(tuple(tuple(g[i][j] for j in block) for i in block))
+        maxima = coset_square_maxima(part)
+        total += min((sq + part.rank) / 4 for sq in maxima.values())
+    return total
 
 
 # ---------------------------------------------------------------------------

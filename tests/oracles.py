@@ -14,7 +14,7 @@ from math import isqrt
 from qatorsion.covers import BOUNDARY, WhiteGraph
 from qatorsion.diagrams import End, LinkDiagram
 from qatorsion.intmat import invert_rational, smith_normal_form
-from qatorsion.lattice import GramLattice, enumerate_in_ellipsoid
+from qatorsion.lattice import GramLattice, LatticeError
 from qatorsion.laurent import Laurent
 from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP
 
@@ -330,6 +330,72 @@ def brute_m_invariant(lattice) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Ellipsoid enumeration in exact rationals (the package's enumerator before
+# it moved to integers)
+# ---------------------------------------------------------------------------
+
+def _ldl(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """A = L D L^T with L unit lower-triangular, D positive diagonal."""
+    r = len(a)
+    l = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    d = [Fraction(0)] * r
+    a = [row[:] for row in a]
+    for k in range(r):
+        d[k] = a[k][k] - sum(d[j] * l[k][j] * l[k][j] for j in range(k))
+        if d[k] <= 0:
+            raise LatticeError("form is not positive definite")
+        for i in range(k + 1, r):
+            l[i][k] = (a[i][k] - sum(d[j] * l[i][j] * l[k][j] for j in range(k))) / d[k]
+    return l, d
+
+
+def _floor_sqrt(x: Fraction) -> int:
+    """floor(sqrt(x)) for x >= 0, exact."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    num, den = x.numerator, x.denominator
+    return isqrt(num * den) // den
+
+
+def fraction_enumerate_in_ellipsoid(form, radius: Fraction, parity=None):
+    """All integer vectors x (including 0 when parity allows) with
+    x^T A x <= radius, A positive definite; optionally restricted to
+    x = parity mod 2.  Exact rational arithmetic throughout."""
+    r = len(form)
+    if r == 0:
+        yield ()
+        return
+    a = [[Fraction(x) for x in row] for row in form]
+    l, d = _ldl(a)
+    radius = Fraction(radius)
+    # Q(x) = sum_k d_k (x_k + sum_{i>k} l_ik x_i)^2, processed from k = r-1 down
+    x = [0] * r
+
+    def rec(k: int, remaining: Fraction):
+        if k < 0:
+            yield tuple(x)
+            return
+        shift = sum(l[i][k] * x[i] for i in range(k + 1, r))
+        # d_k (x_k + shift)^2 <= remaining
+        bound = remaining / d[k]
+        root = _floor_sqrt(bound)
+        lo_f = -shift - root - 1
+        hi_f = -shift + root + 1
+        lo = int(lo_f) - 2
+        hi = int(hi_f) + 2
+        for cand in range(lo, hi + 1):
+            if parity is not None and (cand - parity[k]) % 2:
+                continue
+            val = d[k] * (cand + shift) ** 2
+            if val <= remaining:
+                x[k] = cand
+                yield from rec(k - 1, remaining - val)
+        x[k] = 0
+
+    yield from rec(r - 1, radius)
+
+
+# ---------------------------------------------------------------------------
 # Recursive determinant (Laplace expansion)
 # ---------------------------------------------------------------------------
 
@@ -410,7 +476,7 @@ def pairwise_isometric(a, b) -> bool:
     pos_a = [[-x for x in row] for row in a.gram]
     pos_b = [[-x for x in row] for row in b.gram]
     radius = max(pos_a[i][i] for i in range(r))
-    candidates = [v for v in enumerate_in_ellipsoid(pos_b, Fraction(radius))
+    candidates = [v for v in fraction_enumerate_in_ellipsoid(pos_b, Fraction(radius))
                   if any(v)]
 
     def q_b(u, v):

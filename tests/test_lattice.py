@@ -13,11 +13,12 @@ from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
                                build_catalog, c_bound, catalog_from_json,
                                catalog_to_json, coset_square_maxima,
                                enumerate_definite_lattices,
-                               lattices_isometric, m_invariant, qa_verdict)
+                               enumerate_in_ellipsoid, lattices_isometric,
+                               m_invariant, qa_verdict)
 from qatorsion.torsion import d_lens_oracle
 
 from oracles import (brute_coset_maxima, brute_m_invariant, char_cosets,
-                     pairwise_definite_lattices)
+                     fraction_enumerate_in_ellipsoid, pairwise_definite_lattices)
 
 NEG_E8 = GramLattice.from_rows([
     [-2, 1, 0, 0, 0, 0, 0, 0],
@@ -161,7 +162,7 @@ def test_c_bound25_within_budget(catalog25_session):
     bound = c_bound(25, catalog)
     elapsed = time.perf_counter() - start
     assert bound.value == -6
-    assert elapsed < 1.5, f"c_bound(25) took {elapsed:.2f}s, budget 1.5s"
+    assert elapsed < 0.5, f"c_bound(25) took {elapsed:.2f}s, budget 0.5s"
 
 
 def test_m_is_congruence_invariant():
@@ -191,6 +192,74 @@ def test_orthogonal_unit_summand_preserves_m_on_corpus():
     for lat in corpus:
         extended = _orthogonal_sum(lat, GramLattice.diagonal([-1]))
         assert m_invariant(extended) == m_invariant(lat)
+
+
+def _permuted(lat: GramLattice, perm: list[int]) -> GramLattice:
+    return GramLattice.from_rows([[lat.gram[i][j] for j in perm] for i in perm])
+
+
+def test_m_of_units_plus_a_large_summand_within_budget():
+    # m adds over orthogonal blocks, so the <-1> summands cost nothing; the
+    # unsplit search over this D = 1000 lattice runs for minutes.
+    lat = GramLattice.diagonal([-1, -1, -1, -1000])
+    start = time.perf_counter()
+    assert m_invariant(lat) == m_invariant(GramLattice.diagonal([-1000]))
+    assert m_invariant(lat) == Fraction(-999, 4)
+    assert m_invariant(_permuted(lat, [1, 3, 0, 2])) == Fraction(-999, 4)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"m of <-1>^3 + <-1000> took {elapsed:.2f}s, budget 1s"
+
+
+def test_m_summed_over_blocks_equals_the_unsplit_minimum():
+    a = GramLattice.from_rows([[-2, -1], [-1, -13]])
+    b = GramLattice.from_rows([[-2, 1, 0], [1, -3, 1], [0, 1, -5]])
+    corpus = [_orthogonal_sum(GramLattice.diagonal([-2]), GramLattice.diagonal([-3])),
+              _orthogonal_sum(a, GramLattice.diagonal([-5])),
+              _orthogonal_sum(GramLattice.diagonal([-1]), b),
+              _orthogonal_sum(a, GramLattice.from_rows([[-2, 1], [1, -3]])),
+              _orthogonal_sum(GramLattice.diagonal([-3, -1]), a),
+              _permuted(_orthogonal_sum(a, GramLattice.diagonal([-3, -2])),
+                        [2, 0, 3, 1]),
+              _permuted(_orthogonal_sum(GramLattice.diagonal([-2]), b), [1, 0, 3, 2])]
+    for lat in corpus:
+        unsplit = min((sq + lat.rank) / 4 for sq in coset_square_maxima(lat).values())
+        assert m_invariant(lat) == unsplit, lat.gram
+
+
+@st.composite
+def _definite_forms(draw):
+    """A positive definite integer form B^T B + s I of rank 0..5 and a
+    radius 0..200, with s growing with the radius so that the ellipsoid
+    holds at most a few thousand vectors."""
+    r = draw(st.integers(0, 5))
+    radius = draw(st.integers(0, 200))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                      min_size=r, max_size=r))
+    s = draw(st.integers(1 + radius // 16, 4 + radius // 16))
+    form = [[sum(b[k][i] * b[k][j] for k in range(r)) + s * (i == j)
+             for j in range(r)] for i in range(r)]
+    parity = draw(st.one_of(st.none(), st.lists(st.integers(0, 1),
+                                                min_size=r, max_size=r)))
+    return form, radius, parity
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_definite_forms())
+def test_integer_enumerator_matches_the_fraction_oracle(case):
+    form, radius, parity = case
+    assert (list(enumerate_in_ellipsoid(form, radius, parity))
+            == list(fraction_enumerate_in_ellipsoid(form, radius, parity)))
+
+
+def test_integer_enumerator_matches_the_oracle_on_catalog_adjugates(catalog25_session):
+    for lat in catalog25_session[0]:
+        sign = (-1) ** (lat.rank + 1)
+        form = [[sign * x for x in row] for row in _adjugate(lat.gram)]
+        parity = [lat.gram[i][i] % 2 for i in range(lat.rank)]
+        for radius in (0, 5, 37, 200):
+            for mask in (None, parity):
+                assert (list(enumerate_in_ellipsoid(form, radius, mask))
+                        == list(fraction_enumerate_in_ellipsoid(form, radius, mask)))
 
 
 def test_enumeration_examples():
