@@ -22,6 +22,7 @@ from .lattice import (GramLattice, LatticeError, build_catalog, c_bound,
 from .pipeline import (FamilyRecord, PipelineAssertionError,
                        family_casson_walker, family_member, run_family)
 from .skein import CrossingBudgetError, jones_polynomial, mullins_lambda
+from .tokens import parse_int
 from .torsion import DEFAULT_EPSILON
 
 USAGE_EXIT = 1
@@ -33,6 +34,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(USAGE_EXIT)
+
+
+def _int_option(text: str) -> int:
+    try:
+        return parse_int(text, "integer option", signed=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -78,51 +86,51 @@ def main(argv=None) -> int:
                                 parser_class=_Parser)
 
     p_torsion = sub.add_parser("torsion", parents=[common], help="torsion vector of the n-th cover")
-    p_torsion.add_argument("--n", type=int, required=True)
+    p_torsion.add_argument("--n", type=_int_option, required=True)
     p_torsion.add_argument("--epsilon", default=DEFAULT_EPSILON)
 
     p_minor = sub.add_parser("minor", parents=[common], help="abelianized (4,4) Fox minor")
-    p_minor.add_argument("--n", type=int, required=True)
+    p_minor.add_argument("--n", type=_int_option, required=True)
 
     p_hom = sub.add_parser("homology", parents=[common], help="first homology of a cover")
     g = p_hom.add_mutually_exclusive_group(required=True)
     g.add_argument("--pres", help="presentation file")
-    g.add_argument("--kanenobu", nargs=2, type=int, metavar=("P", "Q"))
+    g.add_argument("--kanenobu", nargs=2, type=_int_option, metavar=("P", "Q"))
 
     p_jones = sub.add_parser("jones", parents=[common], help="Jones polynomial of a diagram")
     g = p_jones.add_mutually_exclusive_group(required=True)
     g.add_argument("--pd", help="PD code file")
-    g.add_argument("--kanenobu", nargs=2, type=int, metavar=("P", "Q"))
-    p_jones.add_argument("--budget", type=int, default=24)
+    g.add_argument("--kanenobu", nargs=2, type=_int_option, metavar=("P", "Q"))
+    p_jones.add_argument("--budget", type=_int_option, default=24)
 
     p_lambda = sub.add_parser("lambda", parents=[common], help="Casson-Walker invariant of the "
                                              "double branched cover of a diagram")
     p_lambda.add_argument("--pd", required=True)
 
     p_dinv = sub.add_parser("dinv", parents=[common], help="correction terms of the n-th cover")
-    p_dinv.add_argument("--n", type=int, required=True)
+    p_dinv.add_argument("--n", type=_int_option, required=True)
     p_dinv.add_argument("--epsilon", default=DEFAULT_EPSILON)
 
     p_mlat = sub.add_parser("mlattice", parents=[common], help="m invariant of a lattice")
     p_mlat.add_argument("--gram", required=True, help="JSON file with a Gram matrix")
 
     p_cb = sub.add_parser("cbound", parents=[common], help="C(D) over a lattice catalog")
-    p_cb.add_argument("--det", type=int, required=True)
+    p_cb.add_argument("--det", type=_int_option, required=True)
     p_cb.add_argument("--catalog", help="catalog JSON (default: generate rank <= 4)")
 
     p_verdict = sub.add_parser("verdict", parents=[common], help="obstruction verdict for the n-th cover")
-    p_verdict.add_argument("--n", type=int, required=True)
+    p_verdict.add_argument("--n", type=_int_option, required=True)
     p_verdict.add_argument("--catalog", help="catalog JSON (default: generate rank <= 4)")
     p_verdict.add_argument("--epsilon", default=DEFAULT_EPSILON)
 
     p_family = sub.add_parser("family", parents=[common], help="full pipeline over a range of n")
-    p_family.add_argument("--j", type=int, default=0)
-    p_family.add_argument("--nmax", type=int, required=True)
+    p_family.add_argument("--j", type=_int_option, default=0)
+    p_family.add_argument("--nmax", type=_int_option, required=True)
     p_family.add_argument("--epsilon", default=DEFAULT_EPSILON)
     p_family.add_argument("--catalog")
 
     p_cat = sub.add_parser("catalog", parents=[common], help="write the generated lattice catalog")
-    p_cat.add_argument("--det", type=int, default=25)
+    p_cat.add_argument("--det", type=_int_option, default=25)
     p_cat.add_argument("--out", help="output file (default stdout)")
 
     args = parser.parse_args(argv)
@@ -149,8 +157,11 @@ def _dispatch(args) -> int:
     elif args.command == "homology":
         if args.pres:
             with open(args.pres) as fh:
-                factors, images, modulus = homology_invariants(
-                    presentation_from_text(fh.read()))
+                pres = presentation_from_text(fh.read())
+            bad = pres.unkilled_relator()
+            if bad is not None:
+                raise ValueError(f"the assign line does not kill relator {bad + 1}")
+            factors, images, modulus = homology_invariants(pres)
         else:
             # the cover already carries H_1; only an infinite H_1 (no
             # factors) goes back to raise with its free rank

@@ -25,8 +25,8 @@ from math import gcd
 from typing import Optional, Union
 
 from .foxcalc import (Presentation, Relator, Run, abelianize_relator_derivative,
-                      determinant_cofactor, gen, presentation_matrix, relator,
-                      winv, wmul)
+                      determinant_cofactor, gen, presentation_matrix, winv,
+                      wmul)
 from .groupring import GroupRingElem
 from .intmat import smith_normal_form
 
@@ -264,14 +264,6 @@ def homology_invariants(pres: Presentation
     return [n], images, n
 
 
-def homology(cover: BranchedCoverPresentation
-             ) -> tuple[list[int], Optional[tuple[int, ...]]]:
-    """Invariant-factor decomposition of H_1 plus generator images when
-    cyclic (normalised so the last generator maps to t)."""
-    factors, images, _n = homology_invariants(cover.presentation)
-    return factors, images
-
-
 # ---------------------------------------------------------------------------
 # The twist-family white graph (two twist regions with p and q half-twists)
 # ---------------------------------------------------------------------------
@@ -321,18 +313,6 @@ def kanenobu_white_graph(p: int, q: int) -> WhiteGraph:
 def kanenobu_presentation(p: int, q: int) -> BranchedCoverPresentation:
     """The four-generator presentation read off the K_{p,q} white graph."""
     return white_graph_presentation(kanenobu_white_graph(p, q))
-
-
-def lens_presentation(p: int, q: int = 1) -> BranchedCoverPresentation:
-    """Genus-one presentation < a | a^p > of the lens space L(p, q); the
-    dual-curve classes are g = t and h = t^q."""
-    if p < 1:
-        raise ValueError("need p >= 1")
-    pres = Presentation(gens=1, relators=(relator(gen(1), p),),
-                        assignment=(1,), modulus=p)
-    return BranchedCoverPresentation(presentation=pres,
-                                     factors=(p,) if p > 1 else (),
-                                     g_classes=(1,), h_classes=(q % p,))
 
 
 # ---------------------------------------------------------------------------

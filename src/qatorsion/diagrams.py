@@ -1,6 +1,6 @@
 """Planar link diagrams as PD codes, with faces, checkerboard colouring,
-orientation, and constructors (braid closures and the medial diagram of a
-signed white graph).
+orientation, and constructors (the medial diagram of a signed white graph,
+its parity reduction, and the twist-family diagrams).
 
 PD convention: each crossing is a 4-tuple of arc labels in counterclockwise
 order starting at the incoming under-strand, so the under-strand runs from
@@ -24,6 +24,7 @@ import re
 from typing import Optional, Sequence, Union
 
 from .covers import BOUNDARY, WhiteGraph
+from .tokens import UNSIGNED
 
 End = tuple[int, int]  # (crossing index, slot 0..3)
 
@@ -311,9 +312,10 @@ class LinkDiagram:
                 f"{self.n_components()} components)")
 
 
-_PD_CROSSING = r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]"
+_PD_INT = rf"\s*({UNSIGNED})\s*"
+_PD_CROSSING = rf"X\[{_PD_INT},{_PD_INT},{_PD_INT},{_PD_INT}\]"
 _PD_LOOP = r"O\[\s*loop\s*\]"
-_PD_ORIENTATION = r"O\[\s*\d+\s*:\s*([0-9,\s]+)\]"
+_PD_ORIENTATION = rf"O\[\s*{UNSIGNED}\s*:\s*([0-9,\s]+)\]"
 _PD_TEXT = re.compile(rf"(?:{_PD_CROSSING}|{_PD_LOOP}|{_PD_ORIENTATION}|[,\s])*")
 
 
@@ -325,118 +327,12 @@ def _cycle_normal(cyc: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Braid closures
+# Medial construction: signed plane white graph -> checkerboard diagram
 # ---------------------------------------------------------------------------
-
-def braid_closure(word: Sequence[int], strands: int) -> LinkDiagram:
-    """Closure of a braid word; letter +j / -j is the positive / negative
-    elementary braid on strand positions (j-1, j), 1 <= j < strands, with
-    all strands oriented upward."""
-    if strands < 1:
-        raise DiagramError("need at least one strand")
-    for letter in word:
-        if letter == 0 or abs(letter) >= strands:
-            raise DiagramError(f"braid letter {letter} out of range for {strands} strands")
-    next_label = 1
-    init: list[int] = []
-    for _ in range(strands):
-        init.append(next_label)
-        next_label += 1
-    current = list(init)
-    crossings: list[list[int]] = []
-    for letter in word:
-        j = abs(letter)
-        li, ri = j - 1, j
-        l_in, r_in = current[li], current[ri]
-        new_l, new_r = next_label, next_label + 1
-        next_label += 2
-        if letter > 0:
-            # under: r_in (slot 0) -> new_l (slot 2); over: l_in (3) -> new_r (1)
-            crossings.append([r_in, new_r, new_l, l_in])
-        else:
-            # under: l_in (slot 0) -> new_r (slot 2); over: r_in (1) -> new_l (3)
-            crossings.append([l_in, r_in, new_r, new_l])
-        current[li], current[ri] = new_l, new_r
-    # close up: the final arc at position i is the initial one
-    relabel = {}
-    free_loops = 0
-    for i in range(strands):
-        a, b = init[i], current[i]
-        if a == b:
-            free_loops += 1
-        else:
-            relabel[b] = a
-    crossings = [[relabel.get(a, a) for a in c] for c in crossings]
-    if not crossings:
-        return LinkDiagram((), free_loops=free_loops or strands)
-    return LinkDiagram(crossings, free_loops=free_loops)
-
 
 def unknot_diagram() -> LinkDiagram:
     return LinkDiagram((), free_loops=1)
 
-
-def torus_knot_diagram(p: int = 3, q: int = 5) -> LinkDiagram:
-    """The closed positive braid (s_1 s_2 ... s_{p-1})^q on p strands."""
-    word = list(range(1, p)) * q
-    return braid_closure(word, p)
-
-
-def figure_eight_diagram() -> LinkDiagram:
-    return braid_closure([1, -2, 1, -2], 3)
-
-
-# ---------------------------------------------------------------------------
-# Wirtinger presentations
-# ---------------------------------------------------------------------------
-
-def wirtinger_presentation(diagram: LinkDiagram):
-    """Wirtinger presentation of the knot group from the oriented diagram.
-
-    Generators are the over-arcs (PD arcs merged through over-passes); each
-    crossing contributes the relator w_out^-1 o^e w_in o^-e with e the
-    crossing sign, and one redundant relator is dropped.  The infinite
-    cyclic assignment sends every generator to t.
-    """
-    from .foxcalc import Presentation, relator
-
-    if diagram.free_loops:
-        raise DiagramError("Wirtinger presentations need a connected knot diagram")
-    arcs = diagram.arcs()
-    parent = {a: a for a in arcs}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ci in range(diagram.n_crossings):
-        over_in, over_out = diagram.crossings[ci][1], diagram.crossings[ci][3]
-        ra, rb = find(over_in), find(over_out)
-        if ra != rb:
-            parent[ra] = rb
-    classes = sorted({find(a) for a in arcs})
-    index = {cls: i + 1 for i, cls in enumerate(classes)}
-
-    def gen_of(arc):
-        return index[find(arc)]
-
-    relators = []
-    for ci in range(diagram.n_crossings):
-        tup = diagram.crossings[ci]
-        u_in, u_out, over = gen_of(tup[0]), gen_of(tup[2]), gen_of(tup[1])
-        e = diagram.crossing_sign(ci)
-        relators.append(relator(((u_out, -1), (over, e), (u_in, 1), (over, -e))))
-    if relators:
-        relators.pop()
-    return Presentation(gens=len(classes), relators=tuple(relators),
-                        assignment=tuple([1] * len(classes)), modulus=None)
-
-
-# ---------------------------------------------------------------------------
-# Medial construction: signed plane white graph -> checkerboard diagram
-# ---------------------------------------------------------------------------
 
 # Over-strand rule: at the crossing of an edge with sign +1 the over-strand
 # is the diagonal flanking the white regions' corners of the first endpoint

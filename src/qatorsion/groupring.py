@@ -9,8 +9,7 @@ splits as
 
 one field summand per divisor of N.  The same splitting (indexed by
 divisors) works for any cyclic N and is what the divisor-level functions
-implement; the level-indexed API specialises it to prime powers, where
-level j means conductor p^j.
+implement.
 
 No floating point is used anywhere: coefficients are `fractions.Fraction`
 over arbitrary-precision integers.
@@ -407,27 +406,6 @@ def divisor_levels(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def prime_power_decompose(n: int) -> tuple[int, int]:
-    """Return (p, m) with n = p^m, or raise ValueError."""
-    if n < 2:
-        raise ValueError("need n >= 2 for a prime-power decomposition")
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        return n, 1
-    m = 0
-    rest = n
-    while rest % p == 0:
-        rest //= p
-        m += 1
-    if rest != 1:
-        raise ValueError(f"{n} is not a prime power")
-    return p, m
-
-
 def phi_at_divisor(x: GroupRingElem, d: int) -> CyclotomicNumber:
     """Ring homomorphism Q[Z/N] -> Q(zeta_d) sending t to zeta_d (d | N)."""
     n = x.modulus
@@ -443,20 +421,6 @@ def phi_at_divisor(x: GroupRingElem, d: int) -> CyclotomicNumber:
                 if row[i]:
                     out[i] += c * row[i]
     return CyclotomicNumber(d, out)
-
-
-def phi_component(x: GroupRingElem, j: int) -> CyclotomicNumber:
-    """Level-j component for a prime-power modulus N = p^m: substitute
-    t -> zeta_{p^j} and reduce mod Phi_{p^j}.  Level 0 is the rational
-    obtained by evaluating at t = 1."""
-    p, m = prime_power_decompose(x.modulus) if x.modulus > 1 else (1, 0)
-    if x.modulus == 1:
-        if j != 0:
-            raise ValueError("modulus 1 only has level 0")
-        return phi_at_divisor(x, 1)
-    if not (0 <= j <= m):
-        raise ValueError(f"level {j} exceeds the maximal level {m} for N = {p}^{m}")
-    return phi_at_divisor(x, p ** j)
 
 
 @lru_cache(maxsize=None)
@@ -481,15 +445,10 @@ def _decomposition_matrix_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(r) for r in inv)
 
 
-def phi_decompose(x: GroupRingElem) -> dict[int, CyclotomicNumber]:
-    """All divisor components of x."""
-    return {d: phi_at_divisor(x, d) for d in divisor_levels(x.modulus)}
-
-
 def phi_reconstruct_divisors(components: dict[int, CyclotomicNumber],
                              n: int) -> GroupRingElem:
-    """Inverse of phi_decompose: the unique x in Q[Z/n] with the given
-    divisor components."""
+    """Inverse of the components phi_at_divisor(x, d) over all d | n: the
+    unique x in Q[Z/n] with the given divisor components."""
     divisors = divisor_levels(n)
     if sorted(components) != divisors:
         raise ValueError(f"need one component per divisor of {n}")
@@ -505,18 +464,3 @@ def phi_reconstruct_divisors(components: dict[int, CyclotomicNumber],
     coeffs = [sum((inv[i][j] * stacked[j] for j in range(n)), Fraction(0))
               for i in range(n)]
     return GroupRingElem(n, coeffs)
-
-
-def phi_reconstruct(c0, c1: CyclotomicNumber, c2: CyclotomicNumber,
-                    n: int = 25) -> GroupRingElem:
-    """Prime-power convenience wrapper for N = p^2 (the default 25): build the
-    unique x with level components (c0, c1, c2)."""
-    p, m = prime_power_decompose(n)
-    if m != 2:
-        raise ValueError("three-component reconstruction needs N = p^2")
-    comps = {
-        1: CyclotomicNumber.from_rational(1, c0) if not isinstance(c0, CyclotomicNumber) else c0,
-        p: c1,
-        p * p: c2,
-    }
-    return phi_reconstruct_divisors(comps, n)

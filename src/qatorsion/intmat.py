@@ -15,25 +15,6 @@ def identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                row = out[i]
-                for j in range(cols):
-                    row[j] += v * bk[j]
-    return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def det_bareiss(m) -> int:
     """Exact determinant of a square integer matrix (fraction-free)."""
     n = len(m)

@@ -3,10 +3,10 @@ torsion, correction terms, and the lattice obstruction, with internal
 consistency assertions at every step.
 
 Every computation for a single member of the family goes through
-`family_member`, so the family run, the growth report and the command
-line's per-member subcommands all run the same checks.  Assertion failures
-raise PipelineAssertionError naming the failed mathematical check, so drift
-in any module surfaces with a diagnosable message (the command line maps
+`family_member`, so the family run and the command line's per-member
+subcommands all run the same checks.  Assertion failures raise
+PipelineAssertionError naming the failed mathematical check, so drift in
+any module surfaces with a diagnosable message (the command line maps
 these to exit status 2).
 """
 
@@ -220,51 +220,3 @@ def run_family(offset: int, n_values: Sequence[int],
     return PipelineReport(offset=offset, epsilon=epsilon, casson_walker=lam,
                           records=records, c_bound=bound,
                           delta=_affine_step(taus) if len(taus) >= 2 else None)
-
-
-def torsion_kanenobu(n: int, epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
-    """Torsion of the branched double cover of K_{-10n,10n+3} via the (4,4)
-    minor, with g = h = t."""
-    return family_member(0, n, family_casson_walker(0), epsilon).tau
-
-
-@dataclass(frozen=True)
-class TorsionGrowthReport:
-    n_max: int
-    epsilon: str
-    min_values: tuple[Fraction, ...]     # min coefficient of tau_n, n = 0..n_max
-    delta: TorsionVector                 # tau_{n+1} - tau_n (constant in n)
-    affine: bool                         # tau_n == tau_0 + n*delta exactly
-    delta_min: Fraction
-    decreasing_from: Optional[int]       # min is strictly decreasing for n >= this
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "epsilon": self.epsilon,
-            "min_tau": [str(v) for v in self.min_values],
-            "delta": {str(k): str(v) for k, v in enumerate(self.delta.values)},
-            "affine": self.affine,
-            "delta_min": str(self.delta_min),
-            "strictly_decreasing_from": self.decreasing_from,
-        }
-
-
-def torsion_growth(n_max: int, epsilon: str = DEFAULT_EPSILON) -> TorsionGrowthReport:
-    """Check tau_n = tau_0 + n * delta exactly over the base family
-    n = 0..n_max and report the minimum coefficients; delta has zero sum and
-    a negative minimum, so the minimum of tau_n eventually decreases without
-    bound."""
-    if n_max < 2:
-        raise ValueError("need n_max >= 2 to see the growth")
-    report = run_family(0, range(n_max + 1), epsilon)
-    mins = tuple(r.min_tau for r in report.records)
-    decreasing_from = None
-    for start in range(n_max):
-        if all(mins[m + 1] < mins[m] for m in range(start, n_max)):
-            decreasing_from = start
-            break
-    return TorsionGrowthReport(
-        n_max=n_max, epsilon=epsilon, min_values=mins, delta=report.delta,
-        affine=report.affine, delta_min=report.delta_min,
-        decreasing_from=decreasing_from)

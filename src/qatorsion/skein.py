@@ -319,12 +319,6 @@ def _goeritz_data(diagram: LinkDiagram, white: bool = True,
     return g, correction, index
 
 
-def goeritz_matrix(diagram: LinkDiagram) -> list[list[int]]:
-    """White-class Goeritz matrix, unbounded region deleted."""
-    g, _c, _i = _goeritz_data(diagram, white=True)
-    return g
-
-
 def goeritz_invariants(diagram: LinkDiagram,
                        multiplicity: Optional[Sequence[int]] = None
                        ) -> tuple[list[list[int]], int, int]:
@@ -347,20 +341,6 @@ def goeritz_invariants(diagram: LinkDiagram,
     det = abs(det_bareiss(g))
     sigma = symmetric_signature(g) - correction
     return g, det, sigma
-
-
-def goeritz_invariants_black(diagram: LinkDiagram) -> tuple[int, int]:
-    """(determinant, signature) computed from the black surface; must agree
-    with the white computation."""
-    if diagram.n_crossings == 0:
-        return 1, 0
-    from .intmat import det_bareiss
-    g, correction, _ = _goeritz_data(diagram, white=False)
-    return abs(det_bareiss(g)), symmetric_signature(g) - correction
-
-
-def link_determinant(diagram: LinkDiagram) -> int:
-    return goeritz_invariants(diagram)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence
 
-from .covers import abelianized_minor, lens_presentation
 from .groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
                         phi_at_divisor, phi_reconstruct_divisors)
+from .tokens import parse_int
 
 DEFAULT_EPSILON = "default"
 
@@ -125,7 +123,7 @@ def parse_epsilon(text: str) -> tuple[int, int]:
         return (sign, 1)
     if not s.startswith("^"):
         raise ValueError(f"cannot parse unit override {text!r}")
-    return (sign, int(s[1:]))
+    return (sign, parse_int(s[1:], f"unit override {text!r}", signed=True))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +163,6 @@ def torsion_from_minor(minor: GroupRingElem, g_class: int, h_class: int,
     return TorsionVector.from_group_ring(x, label)
 
 
-def torsion_lens(p: int, q: int, epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
-    """Torsion of the lens space L(p, q) from its genus-one presentation:
-    the minor is the empty determinant 1 and the dual classes are t, t^q."""
-    cover = lens_presentation(p, q)
-    minor = abelianized_minor(cover, 1, 1)
-    return torsion_from_minor(minor, 1, q, epsilon)
-
-
 # ---------------------------------------------------------------------------
 # Correction terms
 # ---------------------------------------------------------------------------
@@ -182,51 +172,3 @@ def d_invariants(tau: TorsionVector, casson_walker: Fraction) -> dict[int, Fract
     Casson-Walker invariant."""
     lam = Fraction(casson_walker)
     return {k: 2 * v - lam for k, v in enumerate(tau.values)}
-
-
-def d_lens_oracle(p: int, q: int) -> list[Fraction]:
-    """Correction terms of the lens space L(p, q) by the standard recursion
-
-        d(p, q, i) = ((2i + 1 - p - q)^2 - p*q) / (4*p*q) - d(q, p mod q, i mod q)
-
-    with d(1, 0, 0) = 0; returns the p values indexed by i = 0..p-1.
-    Implemented independently of the torsion pipeline so the two can be
-    played against each other.
-    """
-    if p < 1:
-        raise ValueError("need p >= 1")
-    if p == 1:
-        return [Fraction(0)]
-    if not (0 < q < p):
-        raise ValueError("need 0 < q < p")
-    if gcd(p, q) != 1:
-        raise ValueError("need gcd(p, q) = 1")
-
-    def rec(p_: int, q_: int, i: int) -> Fraction:
-        if p_ == 1:
-            return Fraction(0)
-        base = Fraction((2 * i + 1 - p_ - q_) ** 2 - p_ * q_, 4 * p_ * q_)
-        return base - rec(q_, p_ % q_, i % q_)
-
-    return [rec(p, q, i) for i in range(p)]
-
-
-def lens_casson_walker(p: int, q: int) -> Fraction:
-    """Casson-Walker invariant of L(p, q), from the zero-sum normalisation
-    of the torsion: summing d = 2 tau - lambda over all Spin^c structures
-    kills the torsion term, so lambda = -(sum of d) / p."""
-    vals = d_lens_oracle(p, q)
-    return -sum(vals, Fraction(0)) / p
-
-
-def multiset_matches_up_to_unit(tau: TorsionVector, casson_walker: Fraction,
-                                target: Sequence[Fraction]) -> Optional[int]:
-    """Does {2 s tau(t^k) - lambda} equal the target multiset for some
-    global unit sign s?  Returns the sign that works, else None.  (The t^k
-    part of the unit action only permutes the multiset.)"""
-    want = sorted(Fraction(x) for x in target)
-    for sign in (1, -1):
-        got = sorted(2 * sign * v - casson_walker for v in tau.values)
-        if got == want:
-            return sign
-    return None

@@ -1,22 +1,36 @@
-"""Independent oracle implementations used by the test suite.
+"""Independent oracle implementations and fixtures used by the test suite.
 
-Everything here is deliberately written from scratch (own polynomial
-helpers, own Gaussian elimination) so that agreement with the package is a
-genuine two-route check rather than the same code called twice.
+The oracles are written from scratch (own polynomial helpers, own Gaussian
+elimination) so that agreement with the package is a genuine two-route
+check rather than the same code called twice.  The rest are fixtures and
+slower general routes that the command line and the pipeline never run:
+the non-abelian Fox calculus and Alexander polynomials, braid closures and
+Wirtinger presentations, the black-surface Goeritz form, lens spaces and
+their correction-term recursion, and the torsion growth report.  They build
+on the package's own types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from typing import Iterable, Optional, Sequence
 
-from qatorsion.covers import BOUNDARY, WhiteGraph
-from qatorsion.diagrams import End, LinkDiagram
-from qatorsion.intmat import invert_rational, smith_normal_form
+from qatorsion.covers import (BOUNDARY, BranchedCoverPresentation, WhiteGraph,
+                              abelianized_minor, homology_invariants)
+from qatorsion.diagrams import DiagramError, End, LinkDiagram
+from qatorsion.foxcalc import (FreeWord, Letter, Presentation, Relator, gen,
+                               relator, winv, wmul)
+from qatorsion.groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
+                                 phi_at_divisor, phi_reconstruct_divisors)
+from qatorsion.intmat import (det_bareiss, invert_rational, smith_normal_form,
+                              symmetric_signature)
 from qatorsion.lattice import GramLattice, LatticeError
 from qatorsion.laurent import Laurent
-from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP
+from qatorsion.pipeline import family_casson_walker, family_member, run_family
+from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP, _goeritz_data
+from qatorsion.torsion import DEFAULT_EPSILON, TorsionVector, torsion_from_minor
 
 
 # ---------------------------------------------------------------------------
@@ -623,3 +637,586 @@ def letter_scan_derivative(word, i: int, assignment, modulus: int) -> list[Fract
                 out[(prefix - assignment[g - 1]) % modulus] -= 1
         prefix += s * assignment[g - 1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Non-abelian Fox calculus: the free group ring, Fox derivatives, and
+# Alexander polynomials of deficiency-one presentations
+# ---------------------------------------------------------------------------
+
+def wpow(w: FreeWord, k: int) -> FreeWord:
+    if k >= 0:
+        return w * k
+    return winv(w) * (-k)
+
+
+def wreduce(w: FreeWord) -> FreeWord:
+    out: list[Letter] = []
+    for g, s in w:
+        if out and out[-1][0] == g and out[-1][1] == -s:
+            out.pop()
+        else:
+            out.append((g, s))
+    return tuple(out)
+
+
+def relator_word(r: Relator) -> FreeWord:
+    """The relator written out letter by letter."""
+    return wmul(*(wpow(u, k) for u, k in r))
+
+
+def word_to_string(w: FreeWord) -> str:
+    if not w:
+        return "1"
+    return " ".join(f"a{g}" if s == 1 else f"a{g}^-1" for g, s in w)
+
+
+class FreeGroupRingElem:
+    """Element of the integral group ring of a free group.
+
+    Keys are freely reduced words; zero coefficients are never stored.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[FreeWord, int] | Iterable[tuple[FreeWord, int]] = ()):
+        d: dict[FreeWord, int] = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for w, c in items:
+            if c:
+                w = wreduce(w)
+                d[w] = d.get(w, 0) + c
+                if d[w] == 0:
+                    del d[w]
+        self.terms = d
+
+    @classmethod
+    def zero(cls) -> "FreeGroupRingElem":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FreeGroupRingElem":
+        return cls({(): 1})
+
+    @classmethod
+    def of_word(cls, w: FreeWord, c: int = 1) -> "FreeGroupRingElem":
+        return cls({w: c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FreeGroupRingElem) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other: "FreeGroupRingElem") -> "FreeGroupRingElem":
+        d = dict(self.terms)
+        for w, c in other.terms.items():
+            d[w] = d.get(w, 0) + c
+            if d[w] == 0:
+                del d[w]
+        out = FreeGroupRingElem.__new__(FreeGroupRingElem)
+        out.terms = d
+        return out
+
+    def __sub__(self, other: "FreeGroupRingElem") -> "FreeGroupRingElem":
+        return self + (-other)
+
+    def __neg__(self) -> "FreeGroupRingElem":
+        out = FreeGroupRingElem.__new__(FreeGroupRingElem)
+        out.terms = {w: -c for w, c in self.terms.items()}
+        return out
+
+    def __mul__(self, other: "FreeGroupRingElem") -> "FreeGroupRingElem":
+        d: dict[FreeWord, int] = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = wreduce(w1 + w2)
+                d[w] = d.get(w, 0) + c1 * c2
+                if d[w] == 0:
+                    del d[w]
+        out = FreeGroupRingElem.__new__(FreeGroupRingElem)
+        out.terms = d
+        return out
+
+    def left_mul_word(self, w: FreeWord) -> "FreeGroupRingElem":
+        return FreeGroupRingElem({wreduce(w + k): c for k, c in self.terms.items()})
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "FreeGroupRingElem(0)"
+        bits = [f"{c}*[{word_to_string(w)}]" for w, c in sorted(self.terms.items())]
+        return "FreeGroupRingElem(" + " + ".join(bits) + ")"
+
+
+def fox_derivative(w: FreeWord, i: int) -> FreeGroupRingElem:
+    """Fox free derivative of the word w with respect to generator a_i.
+
+    Characterised by d(a_j) = delta_ij, d(a_j^-1) = -delta_ij a_j^-1 and
+    the product rule d(uv) = d(u) + u d(v); computed by a single left-to-
+    right scan keeping the running prefix.
+    """
+    terms: dict[FreeWord, int] = {}
+    prefix: list[Letter] = []
+    for g, s in w:
+        if g == i:
+            if s == 1:
+                key = wreduce(tuple(prefix))
+                terms[key] = terms.get(key, 0) + 1
+            else:
+                key = wreduce(tuple(prefix) + ((g, -1),))
+                terms[key] = terms.get(key, 0) - 1
+            if terms.get(key) == 0:
+                del terms[key]
+        prefix.append((g, s))
+    return FreeGroupRingElem(terms)
+
+
+def abelianize(x: FreeGroupRingElem, assignment: Sequence[int],
+               modulus: int) -> GroupRingElem:
+    """Map Z[F] -> Z[Z/N]: each word goes to t^(sum of assigned exponents).
+
+    assignment[i-1] is the image exponent of generator a_i.
+    """
+    out = [Fraction(0)] * modulus
+    for w, c in x.terms.items():
+        e = 0
+        for g, s in w:
+            if g > len(assignment):
+                raise ValueError(f"generator a{g} has no abelianization assignment")
+            e += s * assignment[g - 1]
+        out[e % modulus] += c
+    return GroupRingElem(modulus, out)
+
+
+def abelianize_laurent(x: FreeGroupRingElem, assignment: Sequence[int]) -> Laurent:
+    """Map Z[F] -> Z[t, t^-1] for an infinite-cyclic assignment."""
+    terms: dict[int, int] = {}
+    for w, c in x.terms.items():
+        e = 0
+        for g, s in w:
+            if g > len(assignment):
+                raise ValueError(f"generator a{g} has no abelianization assignment")
+            e += s * assignment[g - 1]
+        terms[e] = terms.get(e, 0) + c
+    return Laurent(terms)
+
+
+def fox_matrix(p: Presentation) -> list[list[FreeGroupRingElem]]:
+    """Matrix with entry (i, j) the Fox derivative of relator j by a_i."""
+    return [[fox_derivative(relator_word(r), i + 1) for r in p.relators]
+            for i in range(p.gens)]
+
+
+def laurent_det(a: list[list[Laurent]]) -> Laurent:
+    """Determinant of a square Laurent matrix by fraction-free Bareiss
+    elimination over Z[t, t^-1] (all interior divisions are exact)."""
+    a = [list(row) for row in a]
+    n = len(a)
+    if n == 0:
+        return Laurent.one()
+    sign = 1
+    prev = Laurent.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
+            if piv is None:
+                return Laurent.zero()
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = num.divide_exact(prev)
+            a[i][k] = Laurent.zero()
+        prev = a[k][k]
+    out = a[n - 1][n - 1]
+    return out.scale(sign)
+
+
+def alexander_polynomial(p: Presentation) -> Laurent:
+    """Fox-calculus Alexander polynomial of a deficiency-one presentation
+    whose assignment maps every generator into Z.
+
+    The result is normalised to be symmetric (unchanged under t -> 1/t)
+    with value 1 at t = 1.
+    """
+    if p.assignment is None or p.modulus is not None:
+        raise ValueError("Alexander polynomial needs an infinite-cyclic assignment")
+    if p.gens - len(p.relators) != 1:
+        raise ValueError(
+            f"presentation deficiency is {p.gens - len(p.relators)}, expected 1")
+    if p.gens == 1:
+        return Laurent.one()
+    fox = [[abelianize_laurent(fox_derivative(relator_word(r), i + 1), p.assignment)
+            for r in p.relators] for i in range(p.gens)]
+    # deficiency one: the matrix is g x (g-1); deleting any generator row
+    # gives the same polynomial up to a unit.  Compute two of them and make
+    # sure they normalise identically.
+    minor_last = laurent_det(fox[:-1])
+    minor_first = laurent_det(fox[1:])
+    delta = _normalize_alexander(minor_last)
+    check = _normalize_alexander(minor_first)
+    if delta != check:
+        raise ArithmeticError("row-deleted Alexander minors disagree after normalisation")
+    return delta
+
+
+def _normalize_alexander(delta: Laurent) -> Laurent:
+    if delta.is_zero():
+        raise ArithmeticError("vanishing Alexander minor (is the diagram split?)")
+    g = delta.content()
+    if g > 1:
+        delta = Laurent({e: c // g for e, c in delta.terms.items()})
+    lo, hi = delta.min_exponent(), delta.max_exponent()
+    if (lo + hi) % 2 != 0:
+        raise ArithmeticError("Alexander polynomial has odd span; not a knot group input")
+    delta = delta.shift(-(lo + hi) // 2)
+    if delta.mirror() != delta:
+        if delta.mirror() == -delta:
+            raise ArithmeticError("skew-symmetric Alexander minor; not a knot group input")
+        raise ArithmeticError("Alexander minor failed to symmetrise")
+    at1 = delta.evaluate(1)
+    if at1 == -1:
+        delta = delta.scale(-1)
+    elif at1 != 1:
+        raise ArithmeticError(f"Alexander value at 1 is {at1}, expected a unit")
+    return delta
+
+
+def presentation_to_text(p: Presentation) -> str:
+    lines = [f"gens {p.gens}"]
+    lines.extend(word_to_string(relator_word(r)) for r in p.relators)
+    if p.assignment is not None:
+        mod = 0 if p.modulus is None else p.modulus
+        lines.append("assign " + " ".join(str(a) for a in p.assignment) + f" mod {mod}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Braid closures, torus and figure-eight knots, Wirtinger presentations
+# ---------------------------------------------------------------------------
+
+def braid_closure(word: Sequence[int], strands: int) -> LinkDiagram:
+    """Closure of a braid word; letter +j / -j is the positive / negative
+    elementary braid on strand positions (j-1, j), 1 <= j < strands, with
+    all strands oriented upward."""
+    if strands < 1:
+        raise DiagramError("need at least one strand")
+    for letter in word:
+        if letter == 0 or abs(letter) >= strands:
+            raise DiagramError(f"braid letter {letter} out of range for {strands} strands")
+    next_label = 1
+    init: list[int] = []
+    for _ in range(strands):
+        init.append(next_label)
+        next_label += 1
+    current = list(init)
+    crossings: list[list[int]] = []
+    for letter in word:
+        j = abs(letter)
+        li, ri = j - 1, j
+        l_in, r_in = current[li], current[ri]
+        new_l, new_r = next_label, next_label + 1
+        next_label += 2
+        if letter > 0:
+            # under: r_in (slot 0) -> new_l (slot 2); over: l_in (3) -> new_r (1)
+            crossings.append([r_in, new_r, new_l, l_in])
+        else:
+            # under: l_in (slot 0) -> new_r (slot 2); over: r_in (1) -> new_l (3)
+            crossings.append([l_in, r_in, new_r, new_l])
+        current[li], current[ri] = new_l, new_r
+    # close up: the final arc at position i is the initial one
+    relabel = {}
+    free_loops = 0
+    for i in range(strands):
+        a, b = init[i], current[i]
+        if a == b:
+            free_loops += 1
+        else:
+            relabel[b] = a
+    crossings = [[relabel.get(a, a) for a in c] for c in crossings]
+    if not crossings:
+        return LinkDiagram((), free_loops=free_loops or strands)
+    return LinkDiagram(crossings, free_loops=free_loops)
+
+
+def torus_knot_diagram(p: int = 3, q: int = 5) -> LinkDiagram:
+    """The closed positive braid (s_1 s_2 ... s_{p-1})^q on p strands."""
+    word = list(range(1, p)) * q
+    return braid_closure(word, p)
+
+
+def figure_eight_diagram() -> LinkDiagram:
+    return braid_closure([1, -2, 1, -2], 3)
+
+
+def wirtinger_presentation(diagram: LinkDiagram):
+    """Wirtinger presentation of the knot group from the oriented diagram.
+
+    Generators are the over-arcs (PD arcs merged through over-passes); each
+    crossing contributes the relator w_out^-1 o^e w_in o^-e with e the
+    crossing sign, and one redundant relator is dropped.  The infinite
+    cyclic assignment sends every generator to t.
+    """
+    if diagram.free_loops:
+        raise DiagramError("Wirtinger presentations need a connected knot diagram")
+    arcs = diagram.arcs()
+    parent = {a: a for a in arcs}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for ci in range(diagram.n_crossings):
+        over_in, over_out = diagram.crossings[ci][1], diagram.crossings[ci][3]
+        ra, rb = find(over_in), find(over_out)
+        if ra != rb:
+            parent[ra] = rb
+    classes = sorted({find(a) for a in arcs})
+    index = {cls: i + 1 for i, cls in enumerate(classes)}
+
+    def gen_of(arc):
+        return index[find(arc)]
+
+    relators = []
+    for ci in range(diagram.n_crossings):
+        tup = diagram.crossings[ci]
+        u_in, u_out, over = gen_of(tup[0]), gen_of(tup[2]), gen_of(tup[1])
+        e = diagram.crossing_sign(ci)
+        relators.append(relator(((u_out, -1), (over, e), (u_in, 1), (over, -e))))
+    if relators:
+        relators.pop()
+    return Presentation(gens=len(classes), relators=tuple(relators),
+                        assignment=tuple([1] * len(classes)), modulus=None)
+
+
+# ---------------------------------------------------------------------------
+# Goeritz invariants from the black surface
+# ---------------------------------------------------------------------------
+
+def goeritz_invariants_black(diagram: LinkDiagram) -> tuple[int, int]:
+    """(determinant, signature) computed from the black surface; must agree
+    with the white computation."""
+    if diagram.n_crossings == 0:
+        return 1, 0
+    g, correction, _ = _goeritz_data(diagram, white=False)
+    return abs(det_bareiss(g)), symmetric_signature(g) - correction
+
+
+# ---------------------------------------------------------------------------
+# Homology of a cover; lens spaces and their correction terms
+# ---------------------------------------------------------------------------
+
+def homology(cover: BranchedCoverPresentation
+             ) -> tuple[list[int], Optional[tuple[int, ...]]]:
+    """Invariant-factor decomposition of H_1 plus generator images when
+    cyclic (normalised so the last generator maps to t)."""
+    factors, images, _n = homology_invariants(cover.presentation)
+    return factors, images
+
+
+def lens_presentation(p: int, q: int = 1) -> BranchedCoverPresentation:
+    """Genus-one presentation < a | a^p > of the lens space L(p, q); the
+    dual-curve classes are g = t and h = t^q."""
+    if p < 1:
+        raise ValueError("need p >= 1")
+    pres = Presentation(gens=1, relators=(relator(gen(1), p),),
+                        assignment=(1,), modulus=p)
+    return BranchedCoverPresentation(presentation=pres,
+                                     factors=(p,) if p > 1 else (),
+                                     g_classes=(1,), h_classes=(q % p,))
+
+
+def torsion_lens(p: int, q: int, epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
+    """Torsion of the lens space L(p, q) from its genus-one presentation:
+    the minor is the empty determinant 1 and the dual classes are t, t^q."""
+    cover = lens_presentation(p, q)
+    minor = abelianized_minor(cover, 1, 1)
+    return torsion_from_minor(minor, 1, q, epsilon)
+
+
+def d_lens_oracle(p: int, q: int) -> list[Fraction]:
+    """Correction terms of the lens space L(p, q) by the standard recursion
+
+        d(p, q, i) = ((2i + 1 - p - q)^2 - p*q) / (4*p*q) - d(q, p mod q, i mod q)
+
+    with d(1, 0, 0) = 0; returns the p values indexed by i = 0..p-1.
+    Implemented independently of the torsion pipeline so the two can be
+    played against each other.
+    """
+    if p < 1:
+        raise ValueError("need p >= 1")
+    if p == 1:
+        return [Fraction(0)]
+    if not (0 < q < p):
+        raise ValueError("need 0 < q < p")
+    if gcd(p, q) != 1:
+        raise ValueError("need gcd(p, q) = 1")
+
+    def rec(p_: int, q_: int, i: int) -> Fraction:
+        if p_ == 1:
+            return Fraction(0)
+        base = Fraction((2 * i + 1 - p_ - q_) ** 2 - p_ * q_, 4 * p_ * q_)
+        return base - rec(q_, p_ % q_, i % q_)
+
+    return [rec(p, q, i) for i in range(p)]
+
+
+def lens_casson_walker(p: int, q: int) -> Fraction:
+    """Casson-Walker invariant of L(p, q), from the zero-sum normalisation
+    of the torsion: summing d = 2 tau - lambda over all Spin^c structures
+    kills the torsion term, so lambda = -(sum of d) / p."""
+    vals = d_lens_oracle(p, q)
+    return -sum(vals, Fraction(0)) / p
+
+
+def multiset_matches_up_to_unit(tau: TorsionVector, casson_walker: Fraction,
+                                target: Sequence[Fraction]) -> Optional[int]:
+    """Does {2 s tau(t^k) - lambda} equal the target multiset for some
+    global unit sign s?  Returns the sign that works, else None.  (The t^k
+    part of the unit action only permutes the multiset.)"""
+    want = sorted(Fraction(x) for x in target)
+    for sign in (1, -1):
+        got = sorted(2 * sign * v - casson_walker for v in tau.values)
+        if got == want:
+            return sign
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Level components of Q[Z/p^m]
+# ---------------------------------------------------------------------------
+
+def prime_power_decompose(n: int) -> tuple[int, int]:
+    """Return (p, m) with n = p^m, or raise ValueError."""
+    if n < 2:
+        raise ValueError("need n >= 2 for a prime-power decomposition")
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            break
+        p += 1
+    else:
+        return n, 1
+    m = 0
+    rest = n
+    while rest % p == 0:
+        rest //= p
+        m += 1
+    if rest != 1:
+        raise ValueError(f"{n} is not a prime power")
+    return p, m
+
+
+def phi_component(x: GroupRingElem, j: int) -> CyclotomicNumber:
+    """Level-j component for a prime-power modulus N = p^m: substitute
+    t -> zeta_{p^j} and reduce mod Phi_{p^j}.  Level 0 is the rational
+    obtained by evaluating at t = 1."""
+    p, m = prime_power_decompose(x.modulus) if x.modulus > 1 else (1, 0)
+    if x.modulus == 1:
+        if j != 0:
+            raise ValueError("modulus 1 only has level 0")
+        return phi_at_divisor(x, 1)
+    if not (0 <= j <= m):
+        raise ValueError(f"level {j} exceeds the maximal level {m} for N = {p}^{m}")
+    return phi_at_divisor(x, p ** j)
+
+
+def phi_decompose(x: GroupRingElem) -> dict[int, CyclotomicNumber]:
+    """All divisor components of x."""
+    return {d: phi_at_divisor(x, d) for d in divisor_levels(x.modulus)}
+
+
+def phi_reconstruct(c0, c1: CyclotomicNumber, c2: CyclotomicNumber,
+                    n: int = 25) -> GroupRingElem:
+    """Prime-power convenience wrapper for N = p^2 (the default 25): build the
+    unique x with level components (c0, c1, c2)."""
+    p, m = prime_power_decompose(n)
+    if m != 2:
+        raise ValueError("three-component reconstruction needs N = p^2")
+    comps = {
+        1: CyclotomicNumber.from_rational(1, c0) if not isinstance(c0, CyclotomicNumber) else c0,
+        p: c1,
+        p * p: c2,
+    }
+    return phi_reconstruct_divisors(comps, n)
+
+
+# ---------------------------------------------------------------------------
+# Integer matrix products
+# ---------------------------------------------------------------------------
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        for k in range(inner):
+            v = ai[k]
+            if v:
+                bk = b[k]
+                row = out[i]
+                for j in range(cols):
+                    row[j] += v * bk[j]
+    return out
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+# ---------------------------------------------------------------------------
+# Torsion growth over the base family
+# ---------------------------------------------------------------------------
+
+def torsion_kanenobu(n: int, epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
+    """Torsion of the branched double cover of K_{-10n,10n+3} via the (4,4)
+    minor, with g = h = t."""
+    return family_member(0, n, family_casson_walker(0), epsilon).tau
+
+
+@dataclass(frozen=True)
+class TorsionGrowthReport:
+    n_max: int
+    epsilon: str
+    min_values: tuple[Fraction, ...]     # min coefficient of tau_n, n = 0..n_max
+    delta: TorsionVector                 # tau_{n+1} - tau_n (constant in n)
+    affine: bool                         # tau_n == tau_0 + n*delta exactly
+    delta_min: Fraction
+    decreasing_from: Optional[int]       # min is strictly decreasing for n >= this
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n_max": self.n_max,
+            "epsilon": self.epsilon,
+            "min_tau": [str(v) for v in self.min_values],
+            "delta": {str(k): str(v) for k, v in enumerate(self.delta.values)},
+            "affine": self.affine,
+            "delta_min": str(self.delta_min),
+            "strictly_decreasing_from": self.decreasing_from,
+        }
+
+
+def torsion_growth(n_max: int, epsilon: str = DEFAULT_EPSILON) -> TorsionGrowthReport:
+    """Check tau_n = tau_0 + n * delta exactly over the base family
+    n = 0..n_max and report the minimum coefficients; delta has zero sum and
+    a negative minimum, so the minimum of tau_n eventually decreases without
+    bound."""
+    if n_max < 2:
+        raise ValueError("need n_max >= 2 to see the growth")
+    report = run_family(0, range(n_max + 1), epsilon)
+    mins = tuple(r.min_tau for r in report.records)
+    decreasing_from = None
+    for start in range(n_max):
+        if all(mins[m + 1] < mins[m] for m in range(start, n_max)):
+            decreasing_from = start
+            break
+    return TorsionGrowthReport(
+        n_max=n_max, epsilon=epsilon, min_values=mins, delta=report.delta,
+        affine=report.affine, delta_min=report.delta_min,
+        decreasing_from=decreasing_from)

@@ -12,24 +12,22 @@ from math import gcd
 
 import pytest
 
-from qatorsion.covers import (abelianized_minor, homology,
-                              kanenobu_minor_closed_form,
+from qatorsion.covers import (abelianized_minor, kanenobu_minor_closed_form,
                               kanenobu_presentation)
-from qatorsion.diagrams import (kanenobu_diagram, torus_knot_diagram,
-                                unknot_diagram, wirtinger_presentation)
-from qatorsion.foxcalc import alexander_polynomial
+from qatorsion.diagrams import kanenobu_diagram, unknot_diagram
 from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, c_bound,
                                enumerate_definite_lattices, GramLattice,
                                m_invariant, qa_verdict)
 from qatorsion.laurent import Laurent
-from qatorsion.pipeline import (family_casson_walker, run_family,
-                                torsion_growth, torsion_kanenobu)
+from qatorsion.pipeline import family_casson_walker, run_family
 from qatorsion.skein import (goeritz_invariants, jones_derivative_at,
                              jones_polynomial, mullins_lambda)
-from qatorsion.torsion import d_invariants, d_lens_oracle, torsion_lens
+from qatorsion.torsion import d_invariants
 
-from oracles import (brute_m_invariant, evaluate_vector_at_character,
-                     lens_character_value)
+from oracles import (alexander_polynomial, brute_m_invariant, d_lens_oracle,
+                     evaluate_vector_at_character, homology,
+                     lens_character_value, torsion_growth, torsion_kanenobu,
+                     torsion_lens, torus_knot_diagram, wirtinger_presentation)
 
 
 @pytest.fixture(scope="module")

@@ -2,16 +2,16 @@ import json
 
 import pytest
 
-from qatorsion.covers import (BOUNDARY,
-                              HomologyNotCyclicError, WhiteGraph,
-                              abelianized_minor, homology,
-                              homology_invariants, kanenobu_minor_closed_form,
+from qatorsion.covers import (BOUNDARY, HomologyNotCyclicError, WhiteGraph,
+                              abelianized_minor, homology_invariants,
+                              kanenobu_minor_closed_form,
                               kanenobu_presentation, kanenobu_white_graph,
-                              lens_presentation, white_graph_presentation)
-from qatorsion.foxcalc import (gen, relator, relator_word, winv, wmul, wpow,
-                               wreduce)
+                              white_graph_presentation)
+from qatorsion.foxcalc import gen, relator, winv, wmul
 from qatorsion.groupring import GroupRingElem
 from qatorsion.torsion import torsion_from_minor
+
+from oracles import homology, lens_presentation, relator_word, wpow, wreduce
 
 
 def literal_relators(n):

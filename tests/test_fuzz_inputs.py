@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from qatorsion.cli import main
 from qatorsion.covers import BOUNDARY, WhiteGraph, white_graph_presentation
 from qatorsion.diagrams import LinkDiagram
-from qatorsion.foxcalc import presentation_from_text, relator_word
+from qatorsion.foxcalc import presentation_from_text
 from qatorsion.lattice import GramLattice, catalog_from_json
+
+from oracles import relator_word
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from qatorsion.groupring import (CyclotomicNumber, GroupRingElem,
                                  cyclotomic_polynomial, divisor_levels,
-                                 euler_phi, phi_at_divisor, phi_component,
-                                 phi_decompose, phi_reconstruct,
+                                 euler_phi, phi_at_divisor,
                                  phi_reconstruct_divisors)
 
-from oracles import brute_convolution
+from oracles import (brute_convolution, phi_component, phi_decompose,
+                     phi_reconstruct)
 
 N = 25
 

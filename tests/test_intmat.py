@@ -1,10 +1,9 @@
 import random
 
-from qatorsion.intmat import (det_bareiss, identity, invert_rational, mat_mul,
-                              smith_normal_form, symmetric_signature,
-                              transpose)
+from qatorsion.intmat import (det_bareiss, identity, invert_rational,
+                              smith_normal_form, symmetric_signature)
 
-from oracles import det_laplace
+from oracles import det_laplace, mat_mul, transpose
 
 
 def twist_family_matrix(n):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qatorsion.intmat import identity, mat_mul, transpose
+from qatorsion.intmat import identity
 from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
                                GramLattice, LatticeError, _adjugate,
                                build_catalog, c_bound, catalog_from_json,
@@ -15,10 +15,10 @@ from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
                                enumerate_definite_lattices,
                                enumerate_in_ellipsoid, lattices_isometric,
                                m_invariant, qa_verdict)
-from qatorsion.torsion import d_lens_oracle
 
 from oracles import (brute_coset_maxima, brute_m_invariant, char_cosets,
-                     fraction_enumerate_in_ellipsoid, pairwise_definite_lattices)
+                     d_lens_oracle, fraction_enumerate_in_ellipsoid, mat_mul,
+                     pairwise_definite_lattices, transpose)
 
 NEG_E8 = GramLattice.from_rows([
     [-2, 1, 0, 0, 0, 0, 0, 0],

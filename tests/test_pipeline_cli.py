@@ -5,10 +5,11 @@ import pytest
 
 from qatorsion.cli import main
 from qatorsion.covers import kanenobu_presentation
-from qatorsion.diagrams import kanenobu_diagram, torus_knot_diagram
-from qatorsion.foxcalc import presentation_to_text
+from qatorsion.diagrams import kanenobu_diagram
 from qatorsion.pipeline import family_parameters, run_family
 from qatorsion.skein import goeritz_invariants, jones_polynomial
+
+from oracles import presentation_to_text, torus_knot_diagram
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +243,7 @@ def test_cli_epsilon_override(capsys):
                            "--epsilon=-t^3")
     assert code == 0
     data = json.loads(out)
-    from qatorsion.pipeline import torsion_kanenobu
+    from oracles import torsion_kanenobu
     want = torsion_kanenobu(0).apply_unit(-1, 3)
     assert [Fraction(data["tau"][str(k)]) for k in range(25)] == list(want.values)
 
@@ -345,6 +346,62 @@ def test_cli_pd_with_malformed_entry_is_rejected(tmp_path, capsys):
     assert err.startswith("error:") and "X[3,4]" in err
 
 
+def _rejected(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "", (argv, code, out)
+    assert err.startswith("error:")
+    return err
+
+
+# Integers are ASCII digits: not other digit scripts (which int(), isdigit()
+# and \d accept), not 1_000 and not " 3" (which int() accepts).
+ARABIC_1, ARABIC_2, ARABIC_3 = "١", "٢", "٣"
+
+
+@pytest.mark.parametrize("text", [f"X[{ARABIC_1},{ARABIC_2},2,1]",
+                                  "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[0: 1 2 3 4 5 ٦]",
+                                  f"X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[{ARABIC_1}: 1 2 3 4 5 6]"])
+def test_cli_pd_with_non_ascii_digits_is_rejected(tmp_path, capsys, text):
+    path = tmp_path / "bad.pd"
+    path.write_text(text, encoding="utf-8")
+    assert "malformed PD text" in _rejected(capsys, "jones", "--pd", str(path))
+
+
+@pytest.mark.parametrize("text", [f"gens {ARABIC_2}\na{ARABIC_1} a{ARABIC_1}\na{ARABIC_2}\n",
+                                  f"gens 2\na{ARABIC_1} a{ARABIC_1}\na{ARABIC_2}\n",
+                                  "gens 1_0\na1\n", "gens +1\na1\n",
+                                  f"gens 1\na1 a1\nassign {ARABIC_1} mod 2\n",
+                                  "gens 1\na1 a1\nassign 1 mod 0_2\n",
+                                  "gens 1\na1 a1\nassign 1 mod -2\n"])
+def test_cli_presentation_with_a_bad_integer_is_rejected(tmp_path, capsys, text):
+    path = tmp_path / "bad.pres"
+    path.write_text(text, encoding="utf-8")
+    assert "ASCII digits" in _rejected(capsys, "homology", "--pres", str(path))
+
+
+@pytest.mark.parametrize("epsilon", ["t^1_000", "t^ 3", f"t^{ARABIC_3}", "t^", "-t^"])
+def test_cli_epsilon_with_a_bad_exponent_is_rejected(capsys, epsilon):
+    err = _rejected(capsys, "torsion", "--n", "1", f"--epsilon={epsilon}")
+    assert f"unit override {epsilon!r}" in err
+
+
+@pytest.mark.parametrize("value", [ARABIC_1, "1_0", " 1"])
+def test_cli_integer_option_with_a_bad_value_is_rejected(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["minor", "--n", value])
+    assert exc.value.code == 1
+    assert "ASCII digits" in capsys.readouterr().err
+
+
+def test_cli_homology_refuses_an_assignment_that_keeps_a_relator(tmp_path, capsys):
+    path = tmp_path / "pres.txt"
+    path.write_text("gens 2\na1 a2^-1\na1 a1 a1\nassign 1 1 mod 2\n")
+    assert "relator 2" in _rejected(capsys, "homology", "--pres", str(path))
+    path.write_text("gens 2\na1 a2^-1\na1 a1 a1\nassign 1 1 mod 3\n")
+    code, out, _ = run_cli(capsys, "homology", "--pres", str(path))
+    assert code == 0 and out == "Z/3; a1->t a2->t\n"
+
+
 def test_cli_gram_with_fractional_entry_is_rejected(tmp_path, capsys):
     path = tmp_path / "gram.json"
     path.write_text(json.dumps({"rank": 1, "gram": [[-1.5]]}))
@@ -407,10 +464,10 @@ def test_bundled_member_matches_the_full_path():
     # full path: the unit-edge graph, its relators written out letter by
     # letter and differentiated one letter at a time, and the Goeritz form
     # of the member's full 8 + |p| + |q| crossing diagram
-    from oracles import letter_scan_derivative
+    from oracles import letter_scan_derivative, relator_word
 
     from qatorsion.covers import kanenobu_white_graph, white_graph_presentation
-    from qatorsion.foxcalc import determinant_cofactor, relator_word
+    from qatorsion.foxcalc import determinant_cofactor
     from qatorsion.groupring import GroupRingElem
     from qatorsion.pipeline import family_casson_walker, family_member
     from qatorsion.torsion import d_invariants, torsion_from_minor

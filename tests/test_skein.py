@@ -3,17 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from qatorsion.diagrams import (braid_closure, figure_eight_diagram,
-                                kanenobu_diagram, torus_knot_diagram,
-                                unknot_diagram)
+from qatorsion.diagrams import kanenobu_diagram, unknot_diagram
 from qatorsion.laurent import Laurent
 from qatorsion.skein import (CrossingBudgetError, goeritz_invariants,
-                             goeritz_invariants_black, goeritz_matrix,
                              jones_derivative_at, jones_polynomial,
-                             kauffman_bracket, link_determinant,
-                             mullins_lambda)
+                             kauffman_bracket, mullins_lambda)
 
-from oracles import kauffman_bracket_naive
+from oracles import (braid_closure, figure_eight_diagram,
+                     goeritz_invariants_black, kauffman_bracket_naive,
+                     torus_knot_diagram)
 
 
 def rand_braid(rng, strands=None, length=None):
@@ -117,7 +115,7 @@ def test_determinant_is_jones_at_minus_one():
         if not d.is_connected():
             continue
         v = jones_polynomial(d)
-        det = link_determinant(d)
+        det = goeritz_invariants(d)[1]
         if v.is_integral():
             assert abs(v.evaluate(-1)) == det
 
@@ -148,7 +146,7 @@ def test_goeritz_matches_white_graph_laplacian():
     from qatorsion.foxcalc import presentation_matrix
     for (p, q) in [(0, 3), (-10, 13), (2, -3)]:
         d = kanenobu_diagram(p, q)
-        g = goeritz_matrix(d)
+        g = goeritz_invariants(d)[0]
         pm = presentation_matrix(kanenobu_presentation(p, q).presentation)
         n = len(pm)
         assert len(g) == n
@@ -222,7 +220,7 @@ def test_casson_walker_of_two_strand_torus_covers_matches_lens_recursion():
     # space L(k,1); the surgery formula must reproduce the Casson-Walker
     # value derived from the correction-term recursion (two fully
     # independent computations)
-    from qatorsion.torsion import lens_casson_walker
+    from oracles import lens_casson_walker
     for k in (3, 5, 7, 9, 11):
         d = braid_closure([1] * k, 2)
         assert mullins_lambda(d) == lens_casson_walker(k, 1)
