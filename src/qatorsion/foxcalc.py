@@ -223,6 +223,8 @@ def presentation_from_text(text: str) -> Presentation:
     modulus: Optional[int] = None
     for ln in lines[1:]:
         if ln.startswith("assign "):
+            if assignment is not None:
+                raise ValueError("a presentation file has at most one assign line")
             body = ln[len("assign "):]
             if " mod " not in body:
                 raise ValueError("assign line must end with 'mod <N>' (mod 0 for Z)")

@@ -26,19 +26,22 @@ splits G into the connected components of its off-diagonal support and
 adds their m; a <-1> summand (m = 0) costs nothing.
 
 The ellipsoid search is the Fincke-Pohst enumeration, on integers.  Every
-form it is given is integral (-G, or +-adj) with an integer radius.  The
-LDL factorisation Q(x) = sum_k d_k (x_k + sum_{i>k} l_ik x_i)^2 is done
-once in rationals; level k is scaled by M_k, the lcm of the denominators
-of its l_ik, and all levels by one common denominator N, so that each
-level's term is an integer c_k (M_k x_k + S_k)^2 compared with an integer
+form it is given is integral (-G, or +-adj) with an integer radius.  One
+fraction-free elimination, _bareiss, factors it: its pivots are the
+leading minors Delta_k, and with its rows u_k and Delta_0 = 1,
+N Q(x) = sum_k c_k (Delta_k x_k + S_k)^2 with S_k = sum_{i>k} u_ki x_i,
+N the lcm of the products Delta_{k-1} Delta_k and c_k = N / (Delta_{k-1}
+Delta_k).  So each level's term is an integer, compared with an integer
 remaining radius, and its candidates are exactly the x_k with
-|M_k x_k + S_k| <= isqrt(remaining // c_k).
+|Delta_k x_k + S_k| <= isqrt(remaining // c_k).  The same elimination
+checks definiteness in GramLattice and in the catalog scan, and its last
+pivot is the discriminant.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
@@ -56,6 +59,7 @@ class GramLattice:
     """A negative-definite symmetric integer bilinear form."""
 
     gram: tuple[tuple[int, ...], ...]
+    disc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -67,11 +71,11 @@ class GramLattice:
             for j in range(r):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-        # negative definite: leading principal minors alternate in sign
-        for k in range(1, r + 1):
-            minor = det_bareiss([list(row[:k]) for row in g[:k]])
-            if minor * (-1) ** k <= 0:
-                raise LatticeError("Gram matrix is not negative definite")
+        try:
+            rows = _bareiss([[-x for x in row] for row in g])
+        except LatticeError:
+            raise LatticeError("Gram matrix is not negative definite") from None
+        object.__setattr__(self, "disc", rows[-1][-1] if r else 1)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GramLattice":
@@ -94,10 +98,6 @@ class GramLattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @cached_property
-    def disc(self) -> int:
-        return abs(det_bareiss(self.gram))
 
     def to_json_dict(self) -> dict:
         return {"rank": self.rank, "gram": [list(r) for r in self.gram]}
@@ -150,19 +150,24 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 # Exact ellipsoid enumeration (positive definite integer forms)
 # ---------------------------------------------------------------------------
 
-def _ldl(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """A = L D L^T with L unit lower-triangular, D positive diagonal."""
+def _bareiss(form: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Bareiss elimination of a symmetric integer form without pivoting, on
+    its upper triangle only: row k (from 1) is row k after k - 1 steps, so
+    u_kk is the leading minor Delta_k.  Raises LatticeError at the first
+    pivot that is not positive, i.e. unless the form is positive definite."""
+    a = [list(row) for row in form]
     r = len(a)
-    l = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    d = [Fraction(0)] * r
-    a = [row[:] for row in a]
+    prev = 1
     for k in range(r):
-        d[k] = a[k][k] - sum(d[j] * l[k][j] * l[k][j] for j in range(k))
-        if d[k] <= 0:
+        pivot, row = a[k][k], a[k]
+        if pivot <= 0:
             raise LatticeError("form is not positive definite")
         for i in range(k + 1, r):
-            l[i][k] = (a[i][k] - sum(d[j] * l[i][j] * l[k][j] for j in range(k))) / d[k]
-    return l, d
+            below, c = a[i], row[i]
+            for j in range(i, r):
+                below[j] = (pivot * below[j] - c * row[j]) // prev
+        prev = pivot
+    return a
 
 
 def enumerate_in_ellipsoid(form: Sequence[Sequence[int]], radius: int,
@@ -172,21 +177,17 @@ def enumerate_in_ellipsoid(form: Sequence[Sequence[int]], radius: int,
     x^T A x <= radius, A a positive definite integer form and radius an
     integer; optionally restricted to x = parity mod 2.  Vectors come
     depth-first from the last coordinate down, each level in increasing
-    order.  Only the LDL is rational; every search node is integer."""
+    order.  Every step, the factorisation included, is on integers."""
     r = len(form)
     if r == 0:
         yield ()
         return
-    l, d = _ldl([[Fraction(x) for x in row] for row in form])
-    # Q(x) = sum_k d_k (x_k + sum_{i>k} l_ik x_i)^2.  With M_k the lcm of the
-    # denominators of l_ik (i > k) and N a common denominator of every
-    # d_k / M_k^2, N Q(x) = sum_k c_k (M_k x_k + S_k)^2 with integers
-    # c_k = N d_k / M_k^2 and S_k = sum_{i>k} (M_k l_ik) x_i.
-    scale = [lcm(*(l[i][k].denominator for i in range(k + 1, r))) for k in range(r)]
-    common = lcm(*((d[k] / scale[k] ** 2).denominator for k in range(r)))
-    coef = [int(common * d[k] / scale[k] ** 2) for k in range(r)]
-    shift = [[(i, int(scale[k] * l[i][k])) for i in range(k + 1, r) if l[i][k]]
-             for k in range(r)]
+    u = _bareiss(form)  # N Q(x) = sum_k c_k (Delta_k x_k + S_k)^2
+    scale = [u[k][k] for k in range(r)]
+    denoms = [a * b for a, b in zip([1] + scale, scale)]  # Delta_{k-1} Delta_k
+    common = lcm(*denoms)
+    coef = [common // d for d in denoms]
+    shift = [[(i, u[k][i]) for i in range(k + 1, r) if u[k][i]] for k in range(r)]
     step = 1 if parity is None else 2
     x = [0] * r
     rem = [0] * r      # N * radius minus the terms of the levels above k
@@ -363,21 +364,18 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
             diag.pop()
             a += 1
 
-    def offdiag_positions():
-        return [(i, j) for i in range(rank) for j in range(i + 1, rank)]
-
+    positions = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
     for diag in diag_scan(0, [], 1):
-        positions = offdiag_positions()
         mat = [[diag[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
 
         def fill(k: int):
             if k == len(positions):
-                if det_bareiss(mat) != disc:
-                    return
                 try:
-                    neg = GramLattice(tuple(tuple(-x for x in row) for row in mat))
+                    if _bareiss(mat)[-1][-1] != disc:
+                        return
                 except LatticeError:  # not definite
                     return
+                neg = GramLattice(tuple(tuple(-x for x in row) for row in mat))
                 bucket = buckets.setdefault(_isometry_key(neg), [])
                 if not any(lattices_isometric(neg, other) for other in bucket):
                     bucket.append(neg)
@@ -458,7 +456,7 @@ class CBound:
 MAX_CATALOG_DISC = 200
 
 
-def build_catalog(disc: int, max_rank: Optional[int] = None) -> list[GramLattice]:
+def build_catalog(disc: int) -> list[GramLattice]:
     """All definite lattices with disc = D and rank < D, for ranks up to
     min(D-1, max rank the enumeration can certify).  Refuses D above
     MAX_CATALOG_DISC."""
@@ -467,7 +465,7 @@ def build_catalog(disc: int, max_rank: Optional[int] = None) -> list[GramLattice
     if disc > MAX_CATALOG_DISC:
         raise LatticeError(f"determinant {disc} is above MAX_CATALOG_DISC = "
                            f"{MAX_CATALOG_DISC}, the cap on catalog builds")
-    top = min(disc - 1, MAX_COMPLETE_RANK if max_rank is None else max_rank)
+    top = min(disc - 1, MAX_COMPLETE_RANK)
     catalog: list[GramLattice] = []
     for r in range(0, top + 1):
         catalog.extend(enumerate_definite_lattices(r, disc))

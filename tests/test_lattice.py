@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qatorsion.intmat import identity
+from qatorsion import lattice
+from qatorsion.intmat import det_bareiss, identity
 from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
-                               GramLattice, LatticeError, _adjugate,
+                               GramLattice, LatticeError, _adjugate, _bareiss,
                                build_catalog, c_bound, catalog_from_json,
                                catalog_to_json, coset_square_maxima,
                                enumerate_definite_lattices,
@@ -34,10 +35,23 @@ NEG_E8 = GramLattice.from_rows([
 def test_definiteness_validation():
     with pytest.raises(LatticeError):
         GramLattice.diagonal([1])
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="Gram matrix is not negative definite"):
         GramLattice.from_rows([[-1, 2], [2, -1]])
     with pytest.raises(LatticeError):
         GramLattice.from_rows([[-1, 0], [1, -1]])
+
+
+def test_elimination_rejects_forms_that_are_not_positive_definite():
+    for form in ([[1, 1], [1, 1]], [[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 3], [0, 3, 1]],
+                 [[0]], [[-1]]):
+        with pytest.raises(LatticeError):
+            _bareiss(form)
+
+
+def test_disc_is_the_absolute_determinant(catalog25_session):
+    for lat in list(catalog25_session[0]) + [NEG_E8]:
+        assert lat.disc == abs(det_bareiss(lat.gram)), lat.gram
+    assert GramLattice.rank_zero().disc == 1
 
 
 def _label(lat, chi):
@@ -251,6 +265,15 @@ def test_integer_enumerator_matches_the_fraction_oracle(case):
             == list(fraction_enumerate_in_ellipsoid(form, radius, parity)))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_definite_forms())
+def test_elimination_pivots_are_the_leading_minors(case):
+    form = case[0]
+    rows = _bareiss(form)
+    for k in range(1, len(form) + 1):
+        assert rows[k - 1][k - 1] == det_bareiss([row[:k] for row in form[:k]])
+
+
 def test_integer_enumerator_matches_the_oracle_on_catalog_adjugates(catalog25_session):
     for lat in catalog25_session[0]:
         sign = (-1) ** (lat.rank + 1)
@@ -344,7 +367,22 @@ def test_build_catalog25_within_budget():
     catalog = build_catalog(25)
     elapsed = time.perf_counter() - start
     assert len(catalog) == 20
-    assert elapsed < 8.0, f"build_catalog(25) took {elapsed:.2f}s, budget 8s"
+    assert elapsed < 2.0, f"build_catalog(25) took {elapsed:.2f}s, budget 2s"
+
+
+def test_build_catalog25_runs_no_determinant_per_filling(monkeypatch):
+    # One elimination per filling decides definiteness and the determinant,
+    # which leaves det_bareiss to the unimodularity check of the isometry
+    # test (28,876 calls when the scan ran a determinant per filling).
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return det_bareiss(m)
+
+    monkeypatch.setattr(lattice, "det_bareiss", counted)
+    assert len(build_catalog(25)) == 20
+    assert len(calls) < 1000, f"{len(calls)} det_bareiss calls"
 
 
 def test_c_bound_examples():

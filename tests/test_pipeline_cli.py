@@ -402,6 +402,13 @@ def test_cli_homology_refuses_an_assignment_that_keeps_a_relator(tmp_path, capsy
     assert code == 0 and out == "Z/3; a1->t a2->t\n"
 
 
+@pytest.mark.parametrize("mods", [("5", "2"), ("2", "5")])
+def test_cli_presentation_with_two_assign_lines_is_rejected(tmp_path, capsys, mods):
+    path = tmp_path / "pres.txt"
+    path.write_text("gens 1\na1 a1\n" + "".join(f"assign 1 mod {m}\n" for m in mods))
+    assert "at most one assign line" in _rejected(capsys, "homology", "--pres", str(path))
+
+
 def test_cli_gram_with_fractional_entry_is_rejected(tmp_path, capsys):
     path = tmp_path / "gram.json"
     path.write_text(json.dumps({"rank": 1, "gram": [[-1.5]]}))
