@@ -9,21 +9,26 @@ not-quasi-alternating verdict record.
 
 Everything is exact and runs on one integer matrix, the adjugate
 adj = det(G) G^{-1}.  A characteristic covector chi (chi_i = G_ii mod 2, in
-dual-basis coordinates) has chi^2 = chi^T adj chi / det G, and two of them
-lie in the same coset mod 2G Z^r exactly when adj chi agrees mod 2D,
-D = |det G|.  The coset maxima come from enumerating every characteristic
-chi with -chi^2 <= R for R = 0, 1/D, 4/D, 16/D, ... until all D labels are
-seen: from then on every coset has a vector within R, so its maximum is
-among those enumerated.  R never needs to pass sum |G_ij|, a provable
-radius: x = G^{-1} chi moves by 2Z^r into the cube [-1, 1)^r, where
--chi^2 = -x^T G x <= sum |G_ij|.
+dual-basis coordinates) has D (-chi^2) = +-chi^T adj chi, an integer, and
+two of them lie in the same coset mod 2G Z^r exactly when adj chi agrees
+mod 2D, D = |det G|.  The search finds the least D (-chi^2) of every coset
+by enumerating every characteristic chi with D (-chi^2) <= R for
+R = 0, 1, 4, 16, ... until all D labels are seen: from then on every coset
+has a vector within R, so its least value is among those enumerated.  R
+never needs to pass D sum |G_ij|, a provable radius: x = G^{-1} chi moves
+by 2Z^r into the cube [-1, 1)^r, where -chi^2 = -x^T G x <= sum |G_ij|.
+The search makes no Fraction; only m itself is one,
+(rank D - the largest least value) / (4D).
 
 m adds over orthogonal sums.  The characteristic cosets of L1 + L2 are
 the pairs of cosets of L1 and L2, and chi^2 and the rank add, so each
 coset maximum of (chi^2 + rank) / 4 is the sum of the two maxima, and the
 minimum over pairs is the sum of the two minima.  m_invariant therefore
 splits G into the connected components of its off-diagonal support and
-adds their m; a <-1> summand (m = 0) costs nothing.
+adds their m, computing each distinct block Gram matrix once; a <-1>
+block adds 0 without a search.  c_bound shares one such table across its
+catalog, whose members are mostly <-1>^k + L', so each distinct block is
+computed once per call.  No table outlives the call that made it.
 
 The ellipsoid search is the Fincke-Pohst enumeration, on integers.  Every
 form it is given is integral (-G, or +-adj) with an integer radius.  One
@@ -45,7 +50,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence
 
 from .intmat import det_bareiss
 
@@ -239,9 +245,9 @@ def _adjugate(g: Sequence[Sequence[int]]) -> list[list[int]]:
 # m costs Omega(D), since every one of the D characteristic cosets gets its
 # own maximum.  The cap applies to the whole discriminant, before m splits
 # into orthogonal blocks.  At the cap (2-core VM, Python 3.11.7): <-10000>
-# 0.15 s, [[-100, 1], [1, -100]] 0.2 s, the rank-4 tridiagonal form with
-# diagonal -10 and off-diagonal 1 (D = 9701) 1.0 s; diag(-10, -10, -10, -10)
-# splits into four blocks and takes 2 ms.
+# 0.03 s, [[-100, 1], [1, -100]] 0.04 s, the rank-4 tridiagonal form with
+# diagonal -10 and off-diagonal 1 (D = 9701) 0.24 s; diag(-10, -10, -10, -10)
+# splits into four equal blocks, searches one and takes under 1 ms.
 MAX_M_DISC = 10_000
 
 
@@ -251,25 +257,25 @@ def _check_m_disc(disc: int) -> None:
                            "the cap on computing m")
 
 
-def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]:
+def _least_char_squares(lattice: GramLattice) -> dict[tuple[int, ...], int]:
     """For every characteristic coset, labelled by adj(G) chi mod 2D, the
-    maximum of chi^2 over the coset (a negative rational, or 0 for the
-    empty lattice).  Refuses D above MAX_M_DISC."""
+    least D (-chi^2) over the coset, a non-negative integer."""
     g, r, disc = lattice.gram, lattice.rank, lattice.disc
-    _check_m_disc(disc)
-    adj = _adjugate(g)
+    adj = _adjugate(g)  # symmetric, so these rows are also its columns
     sign = (-1) ** (r + 1)  # sign * adj = D (-G^{-1}) is positive definite
     form = [[sign * x for x in row] for row in adj]
     cube = disc * sum(abs(x) for row in g for x in row)
     parity = [g[i][i] % 2 for i in range(r)]
+    modulus = 2 * disc
     radius = 0
     while True:
-        least: dict[tuple[int, ...], int] = {}  # label -> least D (-chi^2)
+        least: dict[tuple[int, ...], int] = {}
+        get = least.get
         for chi in enumerate_in_ellipsoid(form, radius, parity):
-            image = [_dot(row, chi) for row in adj]
-            label = tuple(x % (2 * disc) for x in image)
-            q = sign * _dot(chi, image)
-            if label not in least or q < least[label]:
+            image = [sum(map(mul, col, chi)) for col in adj]
+            q = sign * sum(map(mul, chi, image))
+            label = tuple([x % modulus for x in image])
+            if get(label, q + 1) > q:
                 least[label] = q
         if len(least) == disc or radius >= cube:
             break
@@ -277,12 +283,13 @@ def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]
     if len(least) != disc:
         raise AssertionError(
             f"found {len(least)} characteristic cosets, expected {disc}")
-    return {label: Fraction(-q, disc) for label, q in least.items()}
+    return least
 
 
-def _orthogonal_blocks(g: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The connected components of the off-diagonal support of G: index
-    sets, each increasing, ordered by their least index."""
+def _orthogonal_blocks(g: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], ...]]:
+    """The Gram matrices of the connected components of the off-diagonal
+    support of G, each on its indices in increasing order, ordered by their
+    least index."""
     r = len(g)
     seen = [False] * r
     blocks = []
@@ -298,22 +305,41 @@ def _orthogonal_blocks(g: Sequence[Sequence[int]]) -> list[list[int]]:
                 if g[i][j] and not seen[j]:
                     seen[j] = True
                     stack.append(j)
-        blocks.append(sorted(block))
+        block.sort()
+        blocks.append(tuple(tuple(g[i][j] for j in block) for i in block))
     return blocks
+
+
+def _block_m(gram: tuple[tuple[int, ...], ...]) -> Fraction:
+    """m of one orthogonal block, from its least D (-chi^2) per coset:
+    (rank D - the largest of them) / (4D).  <-1> has m = 0."""
+    if gram == ((-1,),):
+        return Fraction(0)
+    block = GramLattice(gram)
+    worst = max(_least_char_squares(block).values())
+    return Fraction(block.rank * block.disc - worst, 4 * block.disc)
+
+
+def _sum_over_blocks(lattice: GramLattice, table: dict,
+                     block_m: Callable[[tuple[tuple[int, ...], ...]], Fraction]
+                     ) -> Fraction:
+    """The sum of m over the orthogonal blocks of the lattice, looking each
+    block Gram matrix up in `table` and filling it with `block_m` first."""
+    total = Fraction(0)
+    for gram in _orthogonal_blocks(lattice.gram):
+        if gram not in table:
+            table[gram] = block_m(gram)
+        total += table[gram]
+    return total
 
 
 def m_invariant(lattice: GramLattice) -> Fraction:
     """min over characteristic cosets of max (chi^2 + rank)/4, as the sum of
-    that minimum over the orthogonal blocks of the Gram matrix.  Refuses a
-    lattice whose whole discriminant is above MAX_M_DISC."""
+    that minimum over the orthogonal blocks of the Gram matrix, each
+    distinct block computed once.  Refuses a lattice whose whole
+    discriminant is above MAX_M_DISC."""
     _check_m_disc(lattice.disc)
-    g = lattice.gram
-    total = Fraction(0)
-    for block in _orthogonal_blocks(g):
-        part = GramLattice(tuple(tuple(g[i][j] for j in block) for i in block))
-        maxima = coset_square_maxima(part)
-        total += min((sq + part.rank) / 4 for sq in maxima.values())
-    return total
+    return _sum_over_blocks(lattice, {}, _block_m)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +465,7 @@ def lattices_isometric(a: GramLattice, b: GramLattice) -> bool:
 class CBound:
     """Lower-bound constant over a catalog of definite lattices with
     rank < disc = D.  `complete` is True only when the catalog provably
-    covers every rank 0..D-1."""
+    holds every class of every rank 0..D-1."""
 
     disc: int
     value: Fraction
@@ -473,8 +499,10 @@ def build_catalog(disc: int) -> list[GramLattice]:
 
 
 def c_bound(disc: int, catalog: Sequence[GramLattice]) -> CBound:
-    """Minimum m over the catalog; complete only when the catalog can cover
-    all ranks 0..D-1 (i.e. D-1 <= the certified enumeration rank)."""
+    """Minimum m over the catalog, each distinct orthogonal block of its
+    members computed once.  Complete only when the enumeration certifies
+    every rank 0..D-1 (D-1 <= MAX_COMPLETE_RANK) and every class it finds is
+    isometric to a catalog member."""
     if disc < 1:
         raise LatticeError(f"the determinant must be >= 1, got {disc}")
     for lat in catalog:
@@ -482,13 +510,19 @@ def c_bound(disc: int, catalog: Sequence[GramLattice]) -> CBound:
             raise LatticeError(f"catalog member has disc {lat.disc}, expected {disc}")
         if not lat.rank < disc:
             raise LatticeError(f"catalog member rank {lat.rank} is not < disc {disc}")
-    complete = disc - 1 <= MAX_COMPLETE_RANK
-    values = [m_invariant(lat) for lat in catalog]
+    members = list(catalog)
     if disc == 1:
-        # the empty lattice is the only candidate
-        values.append(Fraction(0))
-    if not values:
+        members.append(GramLattice.rank_zero())  # the only candidate
+    if not members:
         raise LatticeError("empty catalog with disc > 1; no lower bound available")
+    complete = disc - 1 <= MAX_COMPLETE_RANK and all(
+        any(lattices_isometric(cls, lat) for lat in members)
+        for cls in build_catalog(disc))
+    _check_m_disc(disc)
+    # one m_invariant per distinct block Gram matrix of the whole catalog
+    table: dict = {}
+    values = [_sum_over_blocks(lat, table, lambda gram: m_invariant(GramLattice(gram)))
+              for lat in members]
     return CBound(disc=disc, value=min(values), complete=complete,
                   catalog_size=len(catalog))
 

@@ -26,6 +26,7 @@ from qatorsion.groupring import (CyclotomicNumber, GroupRingElem, divisor_levels
                                  phi_at_divisor, phi_reconstruct_divisors)
 from qatorsion.intmat import (det_bareiss, invert_rational, smith_normal_form,
                               symmetric_signature)
+from qatorsion import lattice as lattice_module
 from qatorsion.lattice import GramLattice, LatticeError
 from qatorsion.laurent import Laurent
 from qatorsion.pipeline import family_casson_walker, family_member, run_family
@@ -341,6 +342,15 @@ def brute_coset_maxima(lattice) -> dict[tuple, Fraction]:
 def brute_m_invariant(lattice) -> Fraction:
     maxima = brute_coset_maxima(lattice)
     return min((v + lattice.rank) / 4 for v in maxima.values())
+
+
+def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]:
+    """For every characteristic coset, labelled by adj(G) chi mod 2D, the
+    maximum of chi^2 over the coset (a negative rational, or 0 for the
+    empty lattice), from the package's integer search over the whole,
+    unsplit Gram matrix."""
+    least = lattice_module._least_char_squares(lattice)
+    return {label: Fraction(-q, lattice.disc) for label, q in least.items()}
 
 
 # ---------------------------------------------------------------------------

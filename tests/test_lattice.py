@@ -12,13 +12,14 @@ from qatorsion.intmat import det_bareiss, identity
 from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
                                GramLattice, LatticeError, _adjugate, _bareiss,
                                build_catalog, c_bound, catalog_from_json,
-                               catalog_to_json, coset_square_maxima,
+                               catalog_to_json,
                                enumerate_definite_lattices,
                                enumerate_in_ellipsoid, lattices_isometric,
                                m_invariant, qa_verdict)
 
 from oracles import (brute_coset_maxima, brute_m_invariant, char_cosets,
-                     d_lens_oracle, fraction_enumerate_in_ellipsoid, mat_mul,
+                     coset_square_maxima, d_lens_oracle,
+                     fraction_enumerate_in_ellipsoid, mat_mul,
                      pairwise_definite_lattices, transpose)
 
 NEG_E8 = GramLattice.from_rows([
@@ -176,7 +177,41 @@ def test_c_bound25_within_budget(catalog25_session):
     bound = c_bound(25, catalog)
     elapsed = time.perf_counter() - start
     assert bound.value == -6
-    assert elapsed < 0.5, f"c_bound(25) took {elapsed:.2f}s, budget 0.5s"
+    assert elapsed < 0.25, f"c_bound(25) took {elapsed:.2f}s, budget 0.25s"
+
+
+def test_c_bound25_searches_each_distinct_block_once_per_call(monkeypatch,
+                                                              catalog25_session):
+    # The 20 lattices split into 41 orthogonal blocks with 10 distinct Gram
+    # matrices; <-1> is one of them and needs no search.
+    catalog = [GramLattice(lat.gram) for lat in catalog25_session[0]]
+    calls, search = [], lattice._least_char_squares
+
+    def counted(lat):
+        calls.append(lat.gram)
+        return search(lat)
+
+    monkeypatch.setattr(lattice, "_least_char_squares", counted)
+    assert c_bound(25, catalog).value == -6
+    assert len(calls) == 9 and len(set(calls)) == 9
+    assert ((-1,),) not in calls
+    # No table outlives the call: a second call searches them all again.
+    calls.clear()
+    assert c_bound(25, catalog).value == -6
+    assert len(calls) == 9
+    calls.clear()
+    assert m_invariant(GramLattice.diagonal([-5, -1, -5, -1])) == -2
+    assert calls == [((-5,),)]
+
+
+def test_coset_search_makes_no_fraction(monkeypatch, catalog25_session):
+    def refuse(*args):
+        raise AssertionError("the coset search made a Fraction")
+
+    monkeypatch.setattr(lattice, "Fraction", refuse)
+    for lat in catalog25_session[0]:
+        least = lattice._least_char_squares(GramLattice(lat.gram))
+        assert len(least) == 25 and all(type(q) is int for q in least.values())
 
 
 def test_m_is_congruence_invariant():
@@ -238,6 +273,38 @@ def test_m_summed_over_blocks_equals_the_unsplit_minimum():
     for lat in corpus:
         unsplit = min((sq + lat.rank) / 4 for sq in coset_square_maxima(lat).values())
         assert m_invariant(lat) == unsplit, lat.gram
+
+
+_SMALL_BLOCKS = (((-1,),), ((-2,),), ((-3,),), ((-2, 1), (1, -2)),
+                 ((-2, 1), (1, -3)), ((-2, -1), (-1, -4)))
+
+
+@st.composite
+def _sums_with_a_repeated_block(draw):
+    """B + B' (+ C), B' a copy of B in a permuted basis with sign changes,
+    of rank at most 4, in a shuffled basis so that the copies of B sit at
+    different positions."""
+    block = draw(st.sampled_from(_SMALL_BLOCKS))
+    k = len(block)
+    perm = draw(st.permutations(range(k)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    copy = [[signs[i] * signs[j] * block[perm[i]][perm[j]] for j in range(k)]
+            for i in range(k)]
+    parts = [block, copy]
+    if 2 * k < 4:
+        parts.append(draw(st.sampled_from([b for b in _SMALL_BLOCKS
+                                           if len(b) <= 4 - 2 * k])))
+    lat = GramLattice.rank_zero()
+    for part in parts:
+        lat = _orthogonal_sum(lat, GramLattice.from_rows(part))
+    return _permuted(lat, draw(st.permutations(range(lat.rank))))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lat=_sums_with_a_repeated_block())
+def test_m_over_repeated_blocks_matches_the_brute_force_and_the_unsplit_search(lat):
+    unsplit = min((sq + lat.rank) / 4 for sq in coset_square_maxima(lat).values())
+    assert m_invariant(lat) == unsplit == brute_m_invariant(lat), lat.gram
 
 
 @st.composite

@@ -197,6 +197,36 @@ def test_cli_cbound_catalog_file(capsys, catalog25):
     assert out.strip().endswith("(incomplete)")
 
 
+def test_cli_cbound_partial_catalog_is_incomplete(capsys, tmp_path):
+    # Without its four m = -1 classes the D = 5 catalog has minimum -2/5;
+    # the true C(5) is -1, so the bound must not claim completeness.
+    code, out, _ = run_cli(capsys, "catalog", "--det", "5")
+    full = json.loads(out)
+    assert code == 0 and len(full) == 8
+    # a member in another basis still counts: completeness is up to isometry
+    full = [{"gram": [[-3, -1], [-1, -2]]} if entry["gram"] == [[-2, 1], [1, -3]]
+            else entry for entry in full]
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(full))
+    code, out, _ = run_cli(capsys, "cbound", "--det", "5", "--catalog", str(path),
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"disc": 5, "value": "-1", "complete": True,
+                               "catalog_size": 8}
+    partial = [entry for entry in full
+               if entry["gram"] not in ([[-5]], [[-1, 0], [0, -5]],
+                                        [[-1, 0, 0], [0, -1, 0], [0, 0, -5]],
+                                        [[-1, 0, 0, 0], [0, -1, 0, 0],
+                                         [0, 0, -1, 0], [0, 0, 0, -5]])]
+    assert len(partial) == 4
+    path.write_text(json.dumps(partial))
+    code, out, _ = run_cli(capsys, "cbound", "--det", "5", "--catalog", str(path),
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"disc": 5, "value": "-2/5", "complete": False,
+                               "catalog_size": 4}
+
+
 def test_cli_verdict(capsys, catalog25):
     _catalog, path = catalog25
     code, out, _ = run_cli(capsys, "verdict", "--n", "8", "--catalog", str(path))
