@@ -524,6 +524,62 @@ def pairwise_isometric(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Definite lattices by the scan before sign normalisation: every sign of
+# every off-diagonal entry, deduplicated with the package's isometry key and
+# test
+# ---------------------------------------------------------------------------
+
+def unpruned_definite_lattices(rank: int, disc: int) -> list:
+    """The package's reduced-form scan without its sign rule, so every sign
+    copy of a filling reaches the dedupe; classes are the first scanned
+    member, sorted by Gram matrix."""
+    if rank == 0:
+        return [GramLattice.rank_zero()] if disc == 1 else []
+    bound = lattice_module._REDUCTION_PRODUCT_BOUND[rank] * disc
+    buckets: dict = {}
+
+    def diag_scan(i, diag, prod):
+        if i == rank:
+            yield list(diag)
+            return
+        lo = diag[-1] if diag else 1
+        a = lo
+        while prod * a ** (rank - i) <= bound:
+            diag.append(a)
+            yield from diag_scan(i + 1, diag, prod * a)
+            diag.pop()
+            a += 1
+
+    positions = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    for diag in diag_scan(0, [], 1):
+        mat = [[diag[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+        def fill(k):
+            if k == len(positions):
+                try:
+                    if lattice_module._bareiss(mat)[-1][-1] != disc:
+                        return
+                except LatticeError:  # not definite
+                    return
+                neg = GramLattice(tuple(tuple(-x for x in row) for row in mat))
+                bucket = buckets.setdefault(lattice_module._isometry_key(neg), [])
+                if not any(lattice_module.lattices_isometric(neg, other)
+                           for other in bucket):
+                    bucket.append(neg)
+                return
+            i, j = positions[k]
+            half = min(diag[i], diag[j]) // 2
+            for v in range(-half, half + 1):
+                mat[i][j] = mat[j][i] = v
+                fill(k + 1)
+            mat[i][j] = mat[j][i] = 0
+
+        fill(0)
+    return sorted((lat for bucket in buckets.values() for lat in bucket),
+                  key=lambda lat: lat.gram)
+
+
+# ---------------------------------------------------------------------------
 # Kauffman bracket by the full state sum (the package's Laurent arithmetic
 # and PD arc pairing, but none of its sweep)
 # ---------------------------------------------------------------------------

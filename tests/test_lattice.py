@@ -20,7 +20,8 @@ from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
 from oracles import (brute_coset_maxima, brute_m_invariant, char_cosets,
                      coset_square_maxima, d_lens_oracle,
                      fraction_enumerate_in_ellipsoid, mat_mul,
-                     pairwise_definite_lattices, transpose)
+                     pairwise_definite_lattices, transpose,
+                     unpruned_definite_lattices)
 
 NEG_E8 = GramLattice.from_rows([
     [-2, 1, 0, 0, 0, 0, 0, 0],
@@ -400,6 +401,29 @@ def test_enumeration_equals_the_pairwise_dedupe():
         assert got == want, (rank, disc)
 
 
+def test_sign_normalised_scan_keeps_the_unpruned_representatives():
+    # the pairwise oracle is too slow at rank 4 for these determinants
+    for disc in (16, 20, 24, 25, 27):
+        got = [lat.gram for lat in enumerate_definite_lattices(4, disc)]
+        want = [lat.gram for lat in unpruned_definite_lattices(4, disc)]
+        assert got == want, disc
+
+
+def test_catalog_classes_obey_the_sign_rule():
+    # In scan order, the first nonzero off-diagonal entry touching each
+    # index is positive in the negative-definite Gram matrix.
+    for disc in range(1, 31):
+        for lat in build_catalog(disc):
+            r = lat.rank
+            first: dict[int, int] = {}
+            for i in range(r):
+                for j in range(i + 1, r):
+                    if lat.gram[i][j]:
+                        first.setdefault(i, lat.gram[i][j])
+                        first.setdefault(j, lat.gram[i][j])
+            assert all(v > 0 for v in first.values()), (disc, lat.gram)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_isometry_key_and_test_survive_a_basis_change(catalog25_session, data):
@@ -434,13 +458,14 @@ def test_build_catalog25_within_budget():
     catalog = build_catalog(25)
     elapsed = time.perf_counter() - start
     assert len(catalog) == 20
-    assert elapsed < 2.0, f"build_catalog(25) took {elapsed:.2f}s, budget 2s"
+    assert elapsed < 0.5, f"build_catalog(25) took {elapsed:.2f}s, budget 0.5s"
 
 
 def test_build_catalog25_runs_no_determinant_per_filling(monkeypatch):
     # One elimination per filling decides definiteness and the determinant,
     # which leaves det_bareiss to the unimodularity check of the isometry
-    # test (28,876 calls when the scan ran a determinant per filling).
+    # test (28,876 calls when the scan ran a determinant per filling, 413
+    # before it skipped sign copies).
     calls = []
 
     def counted(m):
@@ -449,7 +474,27 @@ def test_build_catalog25_runs_no_determinant_per_filling(monkeypatch):
 
     monkeypatch.setattr(lattice, "det_bareiss", counted)
     assert len(build_catalog(25)) == 20
-    assert len(calls) < 1000, f"{len(calls)} det_bareiss calls"
+    assert len(calls) <= 100, f"{len(calls)} det_bareiss calls"
+
+
+def test_build_catalog25_skips_sign_copies(monkeypatch):
+    # every sign of every off-diagonal entry took 27,219 eliminations and
+    # 413 isometry tests
+    counts = {"_bareiss": 0, "lattices_isometric": 0}
+
+    def counted(name):
+        inner = getattr(lattice, name)
+
+        def call(*args):
+            counts[name] += 1
+            return inner(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(lattice, name, counted(name))
+    assert len(build_catalog(25)) == 20
+    assert counts["_bareiss"] <= 6000, counts
+    assert counts["lattices_isometric"] <= 60, counts
 
 
 def test_c_bound_examples():

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +226,13 @@ def test_cli_cbound_partial_catalog_is_incomplete(capsys, tmp_path):
     assert code == 0
     assert json.loads(out) == {"disc": 5, "value": "-2/5", "complete": False,
                                "catalog_size": 4}
+
+
+def test_cli_catalog25_matches_the_committed_reference_bytes(capsys):
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+    code, out, _ = run_cli(capsys, "catalog", "--det", "25")
+    assert code == 0
+    assert out.encode() == (reference / "catalog_d25.json").read_bytes()
 
 
 def test_cli_verdict(capsys, catalog25):
