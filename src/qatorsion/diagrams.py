@@ -59,8 +59,8 @@ class LinkDiagram:
             if len(occ) != 2:
                 raise DiagramError(f"arc {arc} appears {len(occ)} times, expected 2")
         self._unbounded_quadrant = unbounded_quadrant
-        self._faces: Optional[list[frozenset[End]]] = None
-        self._face_of_quadrant: Optional[dict[End, int]] = None
+        self._shadows = self._count_shadows()
+        self._trace_faces()
         self._colors: Optional[list[int]] = None
         self._orientation = self._orient(orientation)
 
@@ -82,34 +82,41 @@ class LinkDiagram:
     def is_connected(self) -> bool:
         if not self.crossings:
             return self.free_loops <= 1
-        if self.free_loops:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            ci = stack.pop()
-            for k in range(4):
-                cj, _ = self.other_end((ci, k))
-                if cj not in seen:
-                    seen.add(cj)
-                    stack.append(cj)
-        return len(seen) == len(self.crossings)
+        return not self.free_loops and self._shadows == 1
+
+    def _count_shadows(self) -> int:
+        """Connected components of the shadow (crossings joined by arcs)."""
+        seen: set[int] = set()
+        count = 0
+        for start in range(len(self.crossings)):
+            if start in seen:
+                continue
+            count += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                ci = stack.pop()
+                for k in range(4):
+                    cj, _ = self.other_end((ci, k))
+                    if cj not in seen:
+                        seen.add(cj)
+                        stack.append(cj)
+        return count
 
     # -- faces and colouring ---------------------------------------------------
 
     def faces(self) -> list[frozenset[End]]:
         """Faces as orbits of the map; quadrant (c, k) of a crossing lies in
         face `face_of_quadrant()[(c, k)]`."""
-        if self._faces is None:
-            self._trace_faces()
         return self._faces
 
     def face_of_quadrant(self) -> dict[End, int]:
-        if self._face_of_quadrant is None:
-            self._trace_faces()
         return self._face_of_quadrant
 
     def _trace_faces(self) -> None:
+        """Trace the faces, checking that every shadow component lies on
+        its own sphere: a connected map with c crossings has c + 2 faces
+        exactly when it is planar."""
         darts = [(ci, k) for ci in range(len(self.crossings)) for k in range(4)]
         face_id: dict[End, int] = {}
         faces: list[frozenset[End]] = []
@@ -124,17 +131,17 @@ class LinkDiagram:
                 nxt = self.other_end(cur)
                 cur = (nxt[0], (nxt[1] + 1) % 4)
             faces.append(frozenset(orbit))
+        expected = len(self.crossings) + 2 * self._shadows
+        if len(faces) != expected:
+            raise DiagramError(
+                f"face count {len(faces)} != crossings + 2 * shadow components "
+                f"= {expected}; the PD tuples do not describe a sphere diagram")
         self._faces = faces
         # quadrant k at crossing c (corner between slots k and k+1) lies in
         # the face orbit containing the dart (c, k+1)
         self._face_of_quadrant = {
             (ci, k): face_id[(ci, (k + 1) % 4)]
             for ci in range(len(self.crossings)) for k in range(4)}
-        if self.crossings and self.is_connected():
-            if len(faces) != len(self.crossings) + 2:
-                raise DiagramError(
-                    f"face count {len(faces)} != crossings + 2; the PD tuples "
-                    "do not describe a sphere diagram")
 
     def checkerboard_colors(self) -> list[int]:
         """Colour 1 = white (the class of the unbounded face), 0 = black."""
@@ -349,7 +356,9 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
     One crossing per unit edge of `graph.expanded()`, numbered alike;
     segments of the diagram correspond to corners between consecutive
     edge-ends at the graph's vertices (including the unbounded-region
-    vertex, whose rotation must be supplied).
+    vertex, whose rotation must be supplied).  A rotation system that is
+    not planar fails the sphere check of `LinkDiagram`: the medial map of
+    a genus-g rotation system with E edges has E + 2 - 2g faces.
     """
     if not graph.has_boundary_cycle():
         raise DiagramError(
@@ -365,12 +374,6 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
     for v in range(1, graph.vertices + 1):
         rotations[v] = list(graph.cyclic[v - 1])
     rotations[BOUNDARY] = list(graph.cyclic[graph.vertices])
-
-    # Euler check of the embedded graph: V - E + F = 2
-    n_vertices = graph.vertices + 1
-    n_faces = _count_graph_faces(graph, rotations)
-    if n_vertices - n_edges + n_faces != 2:
-        raise DiagramError("white-graph rotation system is not planar")
 
     # Each edge-end id carries two crossing ports: L (counterclockwise side)
     # and R (clockwise side).  Port numbering per crossing e, with d the
@@ -459,30 +462,6 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
                            "region would touch no crossing")
     return LinkDiagram(crossings, orientation=orientation,
                        unbounded_quadrant=unbounded)
-
-
-def _count_graph_faces(graph: WhiteGraph, rotations) -> int:
-    # darts = edge-end ids; next dart of a face walk: alpha then rotation
-    pos: dict[int, tuple[Union[int, str], int]] = {}
-    for v, rot in rotations.items():
-        for i, end_id in enumerate(rot):
-            pos[end_id] = (v, i)
-    def alpha(end_id: int) -> int:
-        return end_id ^ 1
-    seen: set[int] = set()
-    faces = 0
-    for start in pos:
-        if start in seen:
-            continue
-        faces += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            other = alpha(cur)
-            v, i = pos[other]
-            rot = rotations[v]
-            cur = rot[(i + 1) % len(rot)]
-    return faces
 
 
 # ---------------------------------------------------------------------------

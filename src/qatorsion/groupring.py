@@ -12,7 +12,8 @@ divisors) works for any cyclic N and is what the divisor-level functions
 implement.
 
 No floating point is used anywhere: coefficients are `fractions.Fraction`
-over arbitrary-precision integers.
+over arbitrary-precision integers, and group-ring coefficients that are
+integers stay Python ints.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _as_exact(x):
+    """An int stays an int, so integral group-ring arithmetic makes no
+    Fraction; anything else becomes an exact rational."""
+    return x if isinstance(x, int) else _as_fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +268,15 @@ def _reduce_mod_phi(coords: Sequence[Fraction], m: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 class GroupRingElem:
-    """An element of Q[Z/N]: coefficient of t^k sits at index k."""
+    """An element of Q[Z/N]: coefficient of t^k sits at index k, an int or
+    a Fraction."""
 
     __slots__ = ("modulus", "coeffs")
 
     def __init__(self, modulus: int, coeffs: Iterable):
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        coeffs = tuple(_as_exact(c) for c in coeffs)
         if len(coeffs) != modulus:
             raise ValueError(f"need {modulus} coefficients, got {len(coeffs)}")
         self.modulus = modulus
@@ -286,16 +294,16 @@ class GroupRingElem:
 
     @classmethod
     def t_power(cls, n: int, k: int, coeff=1) -> "GroupRingElem":
-        c = [Fraction(0)] * n
-        c[k % n] = _as_fraction(coeff)
+        c = [0] * n
+        c[k % n] = _as_exact(coeff)
         return cls(n, c)
 
     @classmethod
     def from_terms(cls, n: int, terms: Iterable[tuple[int, object]]) -> "GroupRingElem":
         """terms: iterable of (exponent, coefficient); exponents reduce mod n."""
-        c = [Fraction(0)] * n
+        c = [0] * n
         for k, a in terms:
-            c[k % n] += _as_fraction(a)
+            c[k % n] += _as_exact(a)
         return cls(n, c)
 
     @classmethod
@@ -335,13 +343,13 @@ class GroupRingElem:
         return GroupRingElem(self.modulus, [-a for a in self.coeffs])
 
     def scale(self, r) -> "GroupRingElem":
-        r = _as_fraction(r)
+        r = _as_exact(r)
         return GroupRingElem(self.modulus, [r * a for a in self.coeffs])
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
         self._check(other)
         n = self.modulus
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):

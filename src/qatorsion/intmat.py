@@ -42,125 +42,55 @@ def smith_normal_form(m) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Return (diagonal, U, V) with U*M*V diagonal, U and V unimodular,
     and the diagonal entries nonnegative with d1 | d2 | ... .
 
-    The diagonal list has length min(rows, cols).  Pivoting always picks a
-    nonzero entry of minimal absolute value to limit growth.
+    The diagonal list has length min(rows, cols).  Step t moves a nonzero
+    entry of least absolute value in the trailing block to (t, t) and
+    reduces its row and column by it.  While a remainder is left, or an
+    entry of the trailing block is not a multiple of the pivot (its row is
+    then added to row t), the step starts again with a smaller pivot.
     """
     a = [list(map(int, row)) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+    rows, cols = len(a), len(a[0]) if a else 0
+    u, v = identity(rows), identity(cols)
+    k = min(rows, cols)
 
     def add_row(src, dst, c):  # row_dst += c * row_src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        for x in (a, u):
+            x[dst] = [p + c * q for p, q in zip(x[dst], x[src])]
 
-    def add_col(src, dst, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
+    def add_col(src, dst, c):  # col_dst += c * col_src
+        for x in (a, v):
+            for r in x:
+                r[dst] += c * r[src]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate a minimal-absolute-value nonzero pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+    for t in range(k):
         while True:
-            # clear column t
-            done = True
+            block = [(abs(a[i][j]), i, j) for i in range(t, rows)
+                     for j in range(t, cols) if a[i][j]]
+            if not block:
+                return [a[i][i] for i in range(k)], u, v
+            _, pi, pj = min(block)
+            a[t], a[pi], u[t], u[pi] = a[pi], a[t], u[pi], u[t]
+            for x in (a, v):
+                for r in x:
+                    r[t], r[pj] = r[pj], r[t]
+            p = a[t][t]
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        done = False
+                    add_row(t, i, -(a[i][t] // p))
             for j in range(t + 1, cols):
                 if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
+                    add_col(t, j, -(a[t][j] // p))
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+                continue
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % p for x in a[i][t + 1:])), None)
+            if bad is None:
                 break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    k = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % (di if di else 1) != 0 or (di == 0 and dj != 0):
-                # fold entry (i+1, i+1) into row i and re-reduce the 2x2 corner
-                add_row(i + 1, i, 1)
-                g, x, y = _xgcd(a[i][i], a[i][i + 1])
-                # column ops: col_i, col_{i+1} -> combinations realising gcd
-                ci = [r[i] for r in a]
-                cj = [r[i + 1] for r in a]
-                p, q = a[i][i] // g, a[i][i + 1] // g
-                for r_idx in range(rows):
-                    a[r_idx][i] = ci[r_idx] * x + cj[r_idx] * y
-                    a[r_idx][i + 1] = -ci[r_idx] * q + cj[r_idx] * p
-                vi = [r[i] for r in v]
-                vj = [r[i + 1] for r in v]
-                for r_idx in range(cols):
-                    v[r_idx][i] = vi[r_idx] * x + vj[r_idx] * y
-                    v[r_idx][i + 1] = -vi[r_idx] * q + vj[r_idx] * p
-                # clear the off-diagonal remnants
-                if a[i + 1][i]:
-                    add_row(i, i + 1, -(a[i + 1][i] // a[i][i]))
-                if a[i][i + 1]:
-                    add_col(i, i + 1, -(a[i][i + 1] // a[i][i]))
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    diag = [a[i][i] for i in range(k)]
-    return diag, u, v
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), (1 if a >= 0 else -1), 0)
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
+            add_row(bad, t, 1)
+        if p < 0:
+            for x in (a, u):
+                x[t] = [-q for q in x[t]]
+    return [a[i][i] for i in range(k)], u, v
 
 
 def invert_rational(m) -> list[list[Fraction]]:

@@ -51,7 +51,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .intmat import det_bareiss
 
@@ -320,15 +320,13 @@ def _block_m(gram: tuple[tuple[int, ...], ...]) -> Fraction:
     return Fraction(block.rank * block.disc - worst, 4 * block.disc)
 
 
-def _sum_over_blocks(lattice: GramLattice, table: dict,
-                     block_m: Callable[[tuple[tuple[int, ...], ...]], Fraction]
-                     ) -> Fraction:
+def _sum_over_blocks(lattice: GramLattice, table: dict) -> Fraction:
     """The sum of m over the orthogonal blocks of the lattice, looking each
-    block Gram matrix up in `table` and filling it with `block_m` first."""
+    block Gram matrix up in `table` and filling it with `_block_m` first."""
     total = Fraction(0)
     for gram in _orthogonal_blocks(lattice.gram):
         if gram not in table:
-            table[gram] = block_m(gram)
+            table[gram] = _block_m(gram)
         total += table[gram]
     return total
 
@@ -339,7 +337,7 @@ def m_invariant(lattice: GramLattice) -> Fraction:
     distinct block computed once.  Refuses a lattice whose whole
     discriminant is above MAX_M_DISC."""
     _check_m_disc(lattice.disc)
-    return _sum_over_blocks(lattice, {}, _block_m)
+    return _sum_over_blocks(lattice, {})
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +533,10 @@ def c_bound(disc: int, catalog: Sequence[GramLattice]) -> CBound:
     complete = disc - 1 <= MAX_COMPLETE_RANK and all(
         any(lattices_isometric(cls, lat) for lat in members)
         for cls in build_catalog(disc))
+    # every block's discriminant divides disc, so one check covers them all
     _check_m_disc(disc)
-    # one m_invariant per distinct block Gram matrix of the whole catalog
-    table: dict = {}
-    values = [_sum_over_blocks(lat, table, lambda gram: m_invariant(GramLattice(gram)))
-              for lat in members]
+    table: dict = {}  # one m per distinct block Gram matrix of the catalog
+    values = [_sum_over_blocks(lat, table) for lat in members]
     return CBound(disc=disc, value=min(values), complete=complete,
                   catalog_size=len(catalog))
 

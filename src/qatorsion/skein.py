@@ -61,74 +61,28 @@ def _merge_crossing(matching: frozenset, tup: Sequence[int],
                     smoothing) -> tuple[frozenset, int]:
     """Attach one smoothed crossing to the swept region.
 
-    matching pairs the open arcs (loose path ends) of the region; the
-    smoothing wires the four slots of the crossing in two pairs.  Returns
-    the new matching and the number of closed loops formed.
+    matching holds the open arcs (loose path ends) of the region as pairs
+    (a, b), a < b, joined by a path.  The mate map sends each arc to the
+    far end of its path; an arc not in it is its own far end (a new arc
+    left open, or a kink arc whose other end is at this crossing).  Each
+    smoothing pair joins two ends and closes a loop when they are the same
+    arc or the two ends of one path.  Returns the new matching and the
+    number of closed loops.
     """
-    partner: dict[int, int] = {}
-    for pair in matching:
-        x, y = tuple(pair)
-        partner[x] = y
-        partner[y] = x
-    touched = set(tup)
-    slots_of: dict[int, list[int]] = {}
-    for k, a in enumerate(tup):
-        slots_of.setdefault(a, []).append(k)
-
-    # tiny graph: slot nodes ("s", k) of degree 2, endpoint nodes ("e", arc)
-    edges: list[tuple[tuple, tuple]] = []
-    for s1, s2 in smoothing:
-        edges.append((("s", s1), ("s", s2)))
-    seen_paths: set[frozenset] = set()
-    for a, ks in slots_of.items():
-        if len(ks) == 2:
-            edges.append((("s", ks[0]), ("s", ks[1])))
-            continue
-        k = ks[0]
-        if a in partner:
-            b = partner[a]
-            if b in slots_of and b != a:
-                key = frozenset((a, b))
-                if key in seen_paths:
-                    continue
-                seen_paths.add(key)
-                edges.append((("s", k), ("s", slots_of[b][0])))
-            else:
-                edges.append((("s", k), ("e", b)))
-        else:
-            edges.append((("s", k), ("e", a)))
-
-    adj: dict[tuple, list[tuple]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[tuple] = set()
+    mate = {}
+    for a, b in matching:
+        mate[a], mate[b] = b, a
+    closed = {a for a in tup if a in mate or tup.count(a) == 2}
     loops = 0
-    new_pairs: list[frozenset] = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        ends = [node[1] for node in comp if node[0] == "e"]
-        if not ends:
+    for s1, s2 in smoothing:
+        x, y = tup[s1], tup[s2]
+        fx, fy = mate.get(x, x), mate.get(y, y)
+        if x == y or fx == y:
             loops += 1
-        elif len(ends) == 2:
-            new_pairs.append(frozenset(ends))
         else:
-            raise AssertionError("path component with a bad number of ends")
-
-    carried = [pair for pair in matching
-               if not (set(pair) & touched)]
-    return frozenset(carried + new_pairs), loops
+            mate[fx], mate[fy] = fy, fx
+    return frozenset((a, b) for a, b in mate.items()
+                     if a < b and a not in closed), loops
 
 
 def kauffman_bracket(diagram: LinkDiagram) -> Laurent:

@@ -79,9 +79,24 @@ def test_pd_text_rejects_wrong_orientation_line():
 
 
 def test_nonplanar_tuples_rejected():
-    # a tuple soup whose rotation system fails the sphere face count
-    with pytest.raises(DiagramError):
-        LinkDiagram([(1, 2, 3, 4), (1, 3, 2, 4)]).faces()
+    # tuple soups whose rotation systems fail the sphere face count; the
+    # constructor checks, before anything asks for the faces, and a free
+    # loop beside the crossings does not skip the check
+    for tuples in ([(1, 2, 3, 4), (1, 3, 2, 4)], [(2, 3, 4, 1), (4, 1, 3, 2)]):
+        for loops in (0, 1):
+            with pytest.raises(DiagramError, match="sphere diagram"):
+                LinkDiagram(tuples, free_loops=loops)
+
+
+def test_split_diagram_has_two_faces_per_extra_piece():
+    # crossings + 2 per shadow component: two split trefoils have 6
+    # crossings and 10 faces
+    trefoil = braid_closure([1, 1, 1], 2)
+    shifted = [tuple(a + 100 for a in c) for c in trefoil.crossings]
+    split = LinkDiagram(trefoil.crossings + tuple(shifted))
+    assert split.n_crossings == 6 and len(split.faces()) == 10
+    assert not split.is_connected()
+    assert LinkDiagram(trefoil.crossings, free_loops=1).n_components() == 2
 
 
 def test_white_graph_diagram_requires_boundary_rotation():

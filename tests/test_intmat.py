@@ -41,6 +41,11 @@ def test_snf_examples():
     assert check_snf([[0]]) == [0]
     assert check_snf([[7]]) == [7]
     assert check_snf([[1]]) == [1]
+    # pivoting on whichever remainder turns up first, rather than on the
+    # least entry of the trailing block, takes seconds on this matrix
+    assert check_snf([[0, 3, 6, 0, -7, -9], [0, 4, -6, -8, -6, -1],
+                      [0, 0, 7, 6, 0, 7], [-12, -3, 0, -10, 12, 0],
+                      [0, 0, 0, 0, -1, -8], [0, 0, -11, 2, -6, -8]]) == [1, 1, 1, 1, 2, 28104]
 
 
 def test_snf_random_and_det_product():
@@ -54,6 +59,34 @@ def test_snf_random_and_det_product():
             for d in diag:
                 prod *= d
             assert prod == abs(det_bareiss(m))
+
+
+def test_snf_diagonal_products_are_gcds_of_minors():
+    # independent oracle: d1 ... dk is the gcd of the k x k minors, on
+    # sparse rectangular matrices with forced zero rows and columns
+    from itertools import combinations
+    from math import gcd
+    rng = random.Random(17)
+    for _ in range(150):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.choice((0.2, 0.5, 0.8))
+        m = [[rng.randint(-9, 9) if rng.random() < density else 0
+              for _ in range(c)] for _ in range(r)]
+        for i in rng.sample(range(r), rng.randint(0, r - 1)):
+            m[i] = [0] * c
+        for j in rng.sample(range(c), rng.randint(0, c - 1)):
+            for row in m:
+                row[j] = 0
+        diag = check_snf(m)
+        prod = 1
+        for k in range(1, min(r, c) + 1):
+            prod *= diag[k - 1]
+            minors = 0
+            for rows in combinations(range(r), k):
+                for cols in combinations(range(c), k):
+                    minors = gcd(minors, det_laplace([[m[i][j] for j in cols]
+                                                      for i in rows]))
+            assert prod == minors, (m, diag, k)
 
 
 def test_det_matches_laplace():

@@ -391,6 +391,16 @@ def _rejected(capsys, *argv):
     return err
 
 
+@pytest.mark.parametrize("command", ["jones", "lambda"])
+@pytest.mark.parametrize("text", ["X[2,3,4,1], X[4,1,3,2]\n",
+                                  "X[2,3,4,1], X[4,1,3,2]\nO[loop]\n"])
+def test_cli_pd_that_is_not_a_sphere_diagram_is_rejected(tmp_path, capsys, command, text):
+    # every arc appears twice, but the two crossings trace 2 faces, not 4
+    path = tmp_path / "torus.pd"
+    path.write_text(text)
+    assert "do not describe a sphere diagram" in _rejected(capsys, command, "--pd", str(path))
+
+
 # Integers are ASCII digits: not other digit scripts (which int(), isdigit()
 # and \d accept), not 1_000 and not " 3" (which int() accepts).
 ARABIC_1, ARABIC_2, ARABIC_3 = "١", "٢", "٣"

@@ -34,7 +34,11 @@ def small_corpus():
 
 
 def test_sweep_bracket_equals_naive():
-    for d in small_corpus():
+    # the corpus, then wider frontiers: up to 5 strands and 10 crossings
+    rng = random.Random(43)
+    wide = [braid_closure(*rand_braid(rng, rng.randint(2, 5), rng.randint(1, 10)))
+            for _ in range(60)]
+    for d in small_corpus() + wide:
         assert kauffman_bracket(d) == kauffman_bracket_naive(d)
 
 
