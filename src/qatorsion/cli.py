@@ -14,14 +14,16 @@ import sys
 from fractions import Fraction
 
 from .covers import (HomologyNotCyclicError, HomologyNotFiniteError,
-                     homology_invariants, kanenobu_presentation)
-from .diagrams import DiagramError, LinkDiagram, kanenobu_diagram
+                     homology_invariants, kanenobu_presentation,
+                     kanenobu_white_graph)
+from .diagrams import DiagramError, LinkDiagram, white_graph_diagram
 from .foxcalc import presentation_from_text
 from .lattice import (GramLattice, LatticeError, build_catalog, c_bound,
                       catalog_from_json, catalog_to_json, m_invariant)
 from .pipeline import (FamilyRecord, PipelineAssertionError,
                        family_casson_walker, family_member, run_family)
-from .skein import CrossingBudgetError, jones_polynomial, mullins_lambda
+from .skein import (CrossingBudgetError, _check_budget, jones_polynomial,
+                    mullins_lambda)
 from .tokens import parse_int
 from .torsion import DEFAULT_EPSILON
 
@@ -54,8 +56,11 @@ def _load_diagram(args) -> LinkDiagram:
     if getattr(args, "pd", None):
         with open(args.pd) as fh:
             return LinkDiagram.from_text(fh.read())
-    p, q = args.kanenobu
-    return kanenobu_diagram(p, q)
+    # one crossing per unit of edge weight: refuse a diagram over the
+    # budget before building it
+    graph = kanenobu_white_graph(*args.kanenobu)
+    _check_budget(sum(abs(w) for _a, _b, w in graph.edges), args.budget)
+    return white_graph_diagram(graph)
 
 
 def _load_catalog(args) -> list[GramLattice]:

@@ -37,15 +37,14 @@ class LinkDiagram:
     """An oriented link diagram.
 
     crossings: PD tuples.  free_loops: number of crossingless unknot
-    components in addition to the PD code.  orientation: optional explicit
-    arc directions, as a map arc -> (tail end, head end); when omitted the
-    directions are derived from the PD convention (under-strand enters at
-    slot 0) and propagated along strands.
+    components in addition to the PD code.  The arc directions come from
+    the PD convention alone (the under-strand enters at slot 0), propagated
+    along strands; a component that is never an under-strand runs from the
+    first end of its least arc.
     """
 
     def __init__(self, crossings: Sequence[tuple[int, int, int, int]],
                  free_loops: int = 0,
-                 orientation: Optional[dict[int, tuple[End, End]]] = None,
                  unbounded_quadrant: Optional[tuple[int, int]] = None):
         self.crossings = tuple(tuple(int(x) for x in c) for c in crossings)
         self.free_loops = int(free_loops)
@@ -62,7 +61,7 @@ class LinkDiagram:
         self._shadows = self._count_shadows()
         self._trace_faces()
         self._colors: Optional[list[int]] = None
-        self._orientation = self._orient(orientation)
+        self._orientation = self._orient()
 
     # -- basic structure -----------------------------------------------------
 
@@ -194,7 +193,7 @@ class LinkDiagram:
 
     # -- orientation ------------------------------------------------------------
 
-    def _orient(self, explicit) -> dict[int, tuple[End, End]]:
+    def _orient(self) -> dict[int, tuple[End, End]]:
         """Directions for every arc: arc -> (tail end, head end).
 
         The PD convention forces the under-strand of each crossing to enter
@@ -223,10 +222,6 @@ class LinkDiagram:
                 inc = (ci, (k + 2) % 4)
                 push(self.crossings[ci][inc[1]], self.other_end(inc), inc)
 
-        if explicit is not None:
-            for arc, (tail, head) in explicit.items():
-                push(arc, tuple(tail), tuple(head))
-            drain()
         for ci in range(len(self.crossings)):
             push(self.crossings[ci][0], self.other_end((ci, 0)), (ci, 0))
             drain()
@@ -235,11 +230,6 @@ class LinkDiagram:
                 a, b = self._occurrences[arc]
                 push(arc, a, b)
                 drain()
-        # PD convention check: under-strand must enter at slot 0
-        for ci in range(len(self.crossings)):
-            if direction[self.crossings[ci][0]][1] != (ci, 0):
-                raise DiagramError(
-                    f"crossing {ci}: orientation violates the incoming-under convention")
         return direction
 
     def orientation(self) -> dict[int, tuple[End, End]]:
@@ -436,13 +426,6 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
         crossings.append(tuple(raw[e][(rot + k) % 4] for k in range(4)))
         rotation_of.append(rot)
 
-    orientation = {}
-    for arc, (t, h) in direction.items():
-        def fix(end: End) -> End:
-            ci, k = end
-            return (ci, (k - rotation_of[ci]) % 4)
-        orientation[arc] = (fix(t), fix(h))
-
     # The unbounded face: the white region of the boundary vertex.  Its
     # corner at any boundary edge e (with the boundary vertex as second
     # endpoint) is the raw quadrant between slots 1 and 2; as first
@@ -460,8 +443,7 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
     if unbounded is None:
         raise DiagramError("white graph has no boundary edges; the unbounded "
                            "region would touch no crossing")
-    return LinkDiagram(crossings, orientation=orientation,
-                       unbounded_quadrant=unbounded)
+    return LinkDiagram(crossings, unbounded_quadrant=unbounded)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Exact integer and rational matrix utilities.
 
 Smith normal form with unimodular transforms, Bareiss determinants,
-rational inversion, and the signature of a symmetric matrix by congruence
-reduction.  Everything is list-of-lists over int / Fraction; matrices in
-this package are small (rank <= a few dozen), so clarity beats asymptotics.
+rational inversion, and the package's one fraction-free elimination of a
+symmetric form, whose pivots give its determinant, its signature and
+whether it is positive definite.  Everything is list-of-lists over int /
+Fraction; matrices in this package are small (rank <= a few dozen), so
+clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 
 def identity(n: int) -> list[list[int]]:
@@ -36,6 +39,60 @@ def det_bareiss(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _symmetric_bareiss(form: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Bareiss elimination of a symmetric integer form, on its upper
+    triangle only: row k (from 1) is row k after k - 1 steps, so u_kk is
+    the leading minor Delta_k of a form congruent to `form` over Z, and the
+    last one is det(form).  A zero pivot is replaced (`_place_pivot`);
+    when the trailing block is zero, the remaining pivots are 0.  So the
+    form is positive definite exactly when every pivot is positive (no
+    replacement is then made, and the Delta_k are its own leading minors),
+    and its signature is sum sign(Delta_{k-1} Delta_k) with Delta_0 = 1
+    (Jacobi's rule).
+    """
+    a = [list(row) for row in form]
+    r = len(a)
+    prev = 1
+    for k in range(r):
+        pivot, row = a[k][k], a[k]
+        if not pivot:
+            if not _place_pivot(a, k):
+                return a
+            pivot, row = a[k][k], a[k]
+        for i in range(k + 1, r):
+            below, c = a[i], row[i]
+            for j in range(i, r):
+                below[j] = (pivot * below[j] - c * row[j]) // prev
+        prev = pivot
+    return a
+
+
+def _place_pivot(a: list[list[int]], k: int) -> bool:
+    """Make a[k][k] nonzero by a congruence of the trailing block (indices
+    >= k): swap in a later nonzero diagonal entry or, when there is none,
+    add index j to index i for some a_ij != 0, which puts 2 a_ij at (i, i),
+    and swap that in.  False when the trailing block is zero.  Kept apart
+    from the elimination loop, whose variables would otherwise be closure
+    cells of these generator expressions."""
+    r = len(a)
+    for i in range(k + 1, r):  # the steps below need the whole block
+        for j in range(k, i):
+            a[i][j] = a[j][i]
+    i = next((i for i in range(k + 1, r) if a[i][i]), None)
+    if i is None:
+        i, j = next(((i, j) for i in range(k, r) for j in range(i + 1, r) if a[i][j]),
+                    (None, None))
+        if i is None:
+            return False
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] += row[j]
+    a[k], a[i] = a[i], a[k]
+    for row in a:
+        row[k], row[i] = row[i], row[k]
+    return True
 
 
 def smith_normal_form(m) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -110,49 +167,3 @@ def invert_rational(m) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def symmetric_signature(m) -> int:
-    """Signature (#positive - #negative eigenvalues) of a symmetric matrix,
-    computed exactly by congruence reduction over Q.
-
-    Zero diagonals are handled by borrowing from a row with a nonzero
-    off-diagonal entry (the hyperbolic-plane case contributes +1 and -1,
-    which is what the borrow produces after two pivots).
-    """
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sig = 0
-    live = list(range(n))
-    while live:
-        # prefer a nonzero diagonal pivot
-        piv = next((i for i in live if a[i][i] != 0), None)
-        if piv is None:
-            pair = None
-            for i in live:
-                for j in live:
-                    if i != j and a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            # congruence: add row/col j to i, producing 2*a[i][j] on the diagonal
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            piv = i
-        p = a[piv][piv]
-        sig += 1 if p > 0 else -1
-        live.remove(piv)
-        for i in list(live):
-            f = a[i][piv] / p
-            if f:
-                for k in range(n):
-                    a[i][k] -= f * a[piv][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][piv]
-    return sig

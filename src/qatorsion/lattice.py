@@ -32,8 +32,8 @@ computed once per call.  No table outlives the call that made it.
 
 The ellipsoid search is the Fincke-Pohst enumeration, on integers.  Every
 form it is given is integral (-G, or +-adj) with an integer radius.  One
-fraction-free elimination, _bareiss, factors it: its pivots are the
-leading minors Delta_k, and with its rows u_k and Delta_0 = 1,
+fraction-free elimination, intmat._symmetric_bareiss, factors it: its
+pivots are the leading minors Delta_k, and with its rows u_k and Delta_0 = 1,
 N Q(x) = sum_k c_k (Delta_k x_k + S_k)^2 with S_k = sum_{i>k} u_ki x_i,
 N the lcm of the products Delta_{k-1} Delta_k and c_k = N / (Delta_{k-1}
 Delta_k).  So each level's term is an integer, compared with an integer
@@ -53,7 +53,7 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .intmat import det_bareiss
+from .intmat import _symmetric_bareiss, det_bareiss
 
 
 class LatticeError(ValueError):
@@ -77,10 +77,9 @@ class GramLattice:
             for j in range(r):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-        try:
-            rows = _bareiss([[-x for x in row] for row in g])
-        except LatticeError:
-            raise LatticeError("Gram matrix is not negative definite") from None
+        rows = _symmetric_bareiss([[-x for x in row] for row in g])
+        if any(rows[k][k] <= 0 for k in range(r)):
+            raise LatticeError("Gram matrix is not negative definite")
         object.__setattr__(self, "disc", rows[-1][-1] if r else 1)
 
     @classmethod
@@ -156,26 +155,6 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 # Exact ellipsoid enumeration (positive definite integer forms)
 # ---------------------------------------------------------------------------
 
-def _bareiss(form: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Bareiss elimination of a symmetric integer form without pivoting, on
-    its upper triangle only: row k (from 1) is row k after k - 1 steps, so
-    u_kk is the leading minor Delta_k.  Raises LatticeError at the first
-    pivot that is not positive, i.e. unless the form is positive definite."""
-    a = [list(row) for row in form]
-    r = len(a)
-    prev = 1
-    for k in range(r):
-        pivot, row = a[k][k], a[k]
-        if pivot <= 0:
-            raise LatticeError("form is not positive definite")
-        for i in range(k + 1, r):
-            below, c = a[i], row[i]
-            for j in range(i, r):
-                below[j] = (pivot * below[j] - c * row[j]) // prev
-        prev = pivot
-    return a
-
-
 def enumerate_in_ellipsoid(form: Sequence[Sequence[int]], radius: int,
                            parity: Optional[Sequence[int]] = None
                            ) -> Iterable[tuple[int, ...]]:
@@ -188,8 +167,10 @@ def enumerate_in_ellipsoid(form: Sequence[Sequence[int]], radius: int,
     if r == 0:
         yield ()
         return
-    u = _bareiss(form)  # N Q(x) = sum_k c_k (Delta_k x_k + S_k)^2
+    u = _symmetric_bareiss(form)  # N Q(x) = sum_k c_k (Delta_k x_k + S_k)^2
     scale = [u[k][k] for k in range(r)]
+    if min(scale) <= 0:
+        raise LatticeError("form is not positive definite")
     denoms = [a * b for a, b in zip([1] + scale, scale)]  # Delta_{k-1} Delta_k
     common = lcm(*denoms)
     coef = [common // d for d in denoms]
@@ -409,10 +390,8 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
             # bit a of touched: an earlier position gave index a a nonzero
             # entry; until both i and j have one, (i, j) takes no v > 0
             if k == len(positions):
-                try:
-                    if _bareiss(mat)[-1][-1] != disc:
-                        return
-                except LatticeError:  # not definite
+                rows = _symmetric_bareiss(mat)
+                if rows[-1][-1] != disc or any(rows[k][k] <= 0 for k in range(rank)):
                     return
                 neg = GramLattice(tuple(tuple(-x for x in row) for row in mat))
                 bucket = buckets.setdefault(_isometry_key(neg), [])

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diagrams import DiagramError, LinkDiagram
-from .intmat import symmetric_signature
+from .intmat import _symmetric_bareiss
 from .laurent import Laurent
 
 LOOP = Laurent({2: -1, -2: -1})  # delta = -A^2 - A^(-2)
@@ -168,14 +168,18 @@ class JonesPolynomial:
         return f"JonesPolynomial({self.to_string()!r})"
 
 
+def _check_budget(n_crossings: int, budget: int) -> None:
+    if n_crossings > budget:
+        raise CrossingBudgetError(
+            f"{n_crossings} crossings exceed the budget {budget}; for the "
+            "two-twist-region family, slide (p, q) -> (p+1, q-1), which preserves "
+            "the Jones polynomial, to reach a smaller diagram")
+
+
 def jones_polynomial(diagram: LinkDiagram,
                      budget: int = DEFAULT_CROSSING_BUDGET) -> JonesPolynomial:
     """V_L(t) = ((-A)^(-3w) <D>) at A = t^(-1/4), exact."""
-    if diagram.n_crossings > budget:
-        raise CrossingBudgetError(
-            f"{diagram.n_crossings} crossings exceed the budget {budget}; for the "
-            "two-twist-region family, slide (p, q) -> (p+1, q-1), which preserves "
-            "the Jones polynomial, to reach a smaller diagram")
+    _check_budget(diagram.n_crossings, budget)
     bracket = kauffman_bracket(diagram)
     w = diagram.writhe()
     sign = -1 if (3 * w) % 2 else 1
@@ -278,7 +282,8 @@ def goeritz_invariants(diagram: LinkDiagram,
                        ) -> tuple[list[list[int]], int, int]:
     """(Goeritz matrix, determinant, signature) of the diagram.
 
-    determinant = |det G|; signature by the spanning-surface formula
+    determinant = |det G| and sig(G) come from the pivots of one
+    fraction-free elimination; signature by the spanning-surface formula
     sig(G) - mu, where mu sums the Goeritz signs of the crossings whose two
     strands cross the white axis in the same direction.  With
     `multiplicity`, crossing ci stands for multiplicity[ci] parallel
@@ -290,11 +295,11 @@ def goeritz_invariants(diagram: LinkDiagram,
         raise DiagramError("Goeritz invariants need a connected diagram")
     if diagram.n_crossings == 0:
         return [], 1, 0
-    from .intmat import det_bareiss
     g, correction, _ = _goeritz_data(diagram, white=True, multiplicity=multiplicity)
-    det = abs(det_bareiss(g))
-    sigma = symmetric_signature(g) - correction
-    return g, det, sigma
+    rows = _symmetric_bareiss(g)
+    minors = [1] + [rows[k][k] for k in range(len(g))]
+    sigma = sum((a * b > 0) - (a * b < 0) for a, b in zip(minors, minors[1:]))
+    return g, abs(minors[-1]), sigma - correction
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from qatorsion.foxcalc import (FreeWord, Letter, Presentation, Relator, gen,
                                relator, winv, wmul)
 from qatorsion.groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
                                  phi_at_divisor, phi_reconstruct_divisors)
-from qatorsion.intmat import (det_bareiss, invert_rational, smith_normal_form,
-                              symmetric_signature)
+from qatorsion.intmat import (_symmetric_bareiss, det_bareiss, invert_rational,
+                              smith_normal_form)
 from qatorsion import lattice as lattice_module
 from qatorsion.lattice import GramLattice, LatticeError
 from qatorsion.laurent import Laurent
@@ -78,6 +78,52 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     for i, c in enumerate(pivots):
         sol[c] = aug[i][n]
     return sol
+
+
+def symmetric_signature(m) -> int:
+    """Signature (#positive - #negative eigenvalues) of a symmetric matrix,
+    computed exactly by congruence reduction over Q.
+
+    Zero diagonals are handled by borrowing from a row with a nonzero
+    off-diagonal entry (the hyperbolic-plane case contributes +1 and -1,
+    which is what the borrow produces after two pivots).
+    """
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    sig = 0
+    live = list(range(n))
+    while live:
+        # prefer a nonzero diagonal pivot
+        piv = next((i for i in live if a[i][i] != 0), None)
+        if piv is None:
+            pair = None
+            for i in live:
+                for j in live:
+                    if i != j and a[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            # congruence: add row/col j to i, producing 2*a[i][j] on the diagonal
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            piv = i
+        p = a[piv][piv]
+        sig += 1 if p > 0 else -1
+        live.remove(piv)
+        for i in list(live):
+            f = a[i][piv] / p
+            if f:
+                for k in range(n):
+                    a[i][k] -= f * a[piv][k]
+                for k in range(n):
+                    a[k][i] -= f * a[k][piv]
+    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +602,8 @@ def unpruned_definite_lattices(rank: int, disc: int) -> list:
 
         def fill(k):
             if k == len(positions):
-                try:
-                    if lattice_module._bareiss(mat)[-1][-1] != disc:
-                        return
-                except LatticeError:  # not definite
+                rows = _symmetric_bareiss(mat)
+                if rows[-1][-1] != disc or any(rows[k][k] <= 0 for k in range(rank)):
                     return
                 neg = GramLattice(tuple(tuple(-x for x in row) for row in mat))
                 bucket = buckets.setdefault(lattice_module._isometry_key(neg), [])

@@ -94,23 +94,6 @@ def test_minor_matches_closed_form_for_all_n():
         assert abelianized_minor(cover, 4, 4) == kanenobu_minor_closed_form(n)
 
 
-def test_minor_and_closed_form_make_no_fraction(monkeypatch):
-    # integer group-ring arithmetic stays on ints through the Fox minor and
-    # the closed-form check
-    from qatorsion import covers, foxcalc, groupring
-
-    def refuse(*args):
-        raise AssertionError("the integral minor made a Fraction")
-
-    for module in (covers, foxcalc, groupring):
-        monkeypatch.setattr(module, "Fraction", refuse, raising=False)
-    for n in range(4):
-        minor = abelianized_minor(kanenobu_presentation(-10 * n, 10 * n + 3), 4, 4)
-        closed = kanenobu_minor_closed_form(n)
-        assert minor == closed
-        assert all(type(c) is int for c in minor.coeffs + closed.coeffs)
-
-
 def test_minor_trivial_component_value():
     # the closed form evaluates to -30n - 2 at t = 1, matching the integer
     # minor of the homology presentation matrix

@@ -128,6 +128,35 @@ def test_trefoil_graph_diagram_matches_homology_determinant():
     assert goeritz_invariants(d)[1] == 3
 
 
+# Generated links whose orientation-dependent invariants are pinned:
+# (vertices, edges, rotations) -> (components, writhe, Goeritz signature,
+# Jones polynomial).  The values were computed when white_graph_diagram
+# still passed its shadow walk's arc directions to LinkDiagram; the PD
+# convention must orient every component the same way.
+GENERATED_LINKS = [
+    ((1, ((BOUNDARY, 1, -3), (BOUNDARY, 1, 1)), ((3, 1), (0, 2))),
+     (2, -2, 1, "-t^(-5/2) - t^(-1/2)")),
+    ((3, ((BOUNDARY, 1, -3), (3, 2, -2), (3, 1, 1), (2, 1, -1), (1, 2, 1)),
+      ((5, 8, 1, 7), (6, 9, 3), (4, 2), (0,))),
+     (2, -4, 3, "t^(-13/2) - t^(-11/2) + t^(-9/2) - 2*t^(-7/2) - t^(-3/2)")),
+    ((3, ((BOUNDARY, 3, 2), (BOUNDARY, 3, -3), (1, 2, -2), (1, BOUNDARY, -2)),
+      ((6, 4), (5,), (3, 1), (0, 7, 2))),
+     (3, 3, -2, "t + 2*t^3 + t^5")),
+    ((2, ((2, 1, -2), (BOUNDARY, 1, -2), (BOUNDARY, 2, 1), (BOUNDARY, 2, -3)),
+      ((1, 3), (7, 5, 0), (6, 2, 4))),
+     (3, 6, -2, "t - 2*t^2 + 3*t^3 - t^4 + 3*t^5 - t^6 + t^7")),
+]
+
+
+@pytest.mark.parametrize("graph_data, want", GENERATED_LINKS)
+def test_generated_link_orientation_invariants(graph_data, want):
+    from qatorsion.skein import goeritz_invariants, jones_polynomial
+    vertices, edges, cyclic = graph_data
+    d = white_graph_diagram(WhiteGraph(vertices=vertices, edges=edges, cyclic=cyclic))
+    assert (d.n_components(), d.writhe(), goeritz_invariants(d)[2],
+            jones_polynomial(d).to_string()) == want
+
+
 def test_parity_reduced_diagram_lifts_to_the_full_goeritz_data():
     # random plane rotation systems with weighted edges; for knots the
     # lifted determinant and signature equal the full diagram's, for links

@@ -1,9 +1,12 @@
 import random
 
-from qatorsion.intmat import (det_bareiss, identity, invert_rational,
-                              smith_normal_form, symmetric_signature)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import det_laplace, mat_mul, transpose
+from qatorsion.intmat import (_symmetric_bareiss, det_bareiss, identity,
+                              invert_rational, smith_normal_form)
+
+from oracles import det_laplace, mat_mul, symmetric_signature, transpose
 
 
 def twist_family_matrix(n):
@@ -113,12 +116,20 @@ def test_invert_rational():
                 assert prod[i][j] == (1 if i == j else 0)
 
 
+def _elimination_invariants(form):
+    """(det, signature) from the pivots of the package's elimination: the
+    last pivot, and Jacobi's rule."""
+    rows = _symmetric_bareiss(form)
+    minors = [1] + [rows[k][k] for k in range(len(form))]
+    return minors[-1], sum((a * b > 0) - (a * b < 0) for a, b in zip(minors, minors[1:]))
+
+
 def test_signature_basics():
-    assert symmetric_signature([]) == 0
-    assert symmetric_signature([[5]]) == 1
-    assert symmetric_signature([[-2, 0], [0, 3]]) == 0
-    assert symmetric_signature([[0, 1], [1, 0]]) == 0
-    assert symmetric_signature([[1, 0], [0, 1]]) == 2
+    for form, sig in (([], 0), ([[5]], 1), ([[-2, 0], [0, 3]], 0),
+                      ([[0, 1], [1, 0]], 0), ([[1, 0], [0, 1]], 2),
+                      ([[0, 0], [0, 0]], 0), ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], 0)):
+        assert symmetric_signature(form) == sig
+        assert _elimination_invariants(form) == (det_bareiss(form), sig)
 
 
 def test_signature_e8():
@@ -133,6 +144,8 @@ def test_signature_e8():
     assert symmetric_signature(e8) == 8
     assert det_bareiss(e8) == 1
     assert symmetric_signature([[-x for x in row] for row in e8]) == -8
+    assert _elimination_invariants(e8) == (1, 8)
+    assert _elimination_invariants([[-x for x in row] for row in e8]) == (1, -8)
 
 
 def test_signature_congruence_invariant():
@@ -152,3 +165,32 @@ def test_signature_congruence_invariant():
                     u[i][k] += c * u[j][k]
         cong = mat_mul(mat_mul(u, m), transpose(u))
         assert symmetric_signature(cong) == symmetric_signature(m)
+        assert _elimination_invariants(cong)[1] == symmetric_signature(m)
+
+
+@st.composite
+def _symmetric_forms(draw):
+    """Symmetric integer forms up to 6 x 6, mostly sparse, half of them
+    with a zero diagonal, and half of them B^T S B for a k x n matrix B
+    with k < n, so singular."""
+    n = draw(st.integers(0, 6))
+    entry = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))
+    zero_diagonal = draw(st.booleans())
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                m[i][j] = m[j][i] = draw(entry)
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        b = [[draw(entry) for _ in range(n)] for _ in range(k)]
+        m = [[sum(b[p][i] * m[p][q] * b[q][j] for p in range(k) for q in range(k))
+              for j in range(n)] for i in range(n)]
+    return m
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(form=_symmetric_forms())
+def test_elimination_pivots_give_determinant_and_signature(form):
+    assert _elimination_invariants(form) == (det_bareiss(form),
+                                             symmetric_signature(form))

@@ -1,12 +1,14 @@
+import importlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qatorsion.cli import main
-from qatorsion.covers import kanenobu_presentation
-from qatorsion.diagrams import kanenobu_diagram
+from qatorsion.covers import kanenobu_presentation, kanenobu_white_graph
+from qatorsion.diagrams import kanenobu_diagram, parity_reduced_diagram
 from qatorsion.pipeline import family_parameters, run_family
 from qatorsion.skein import goeritz_invariants, jones_polynomial
 
@@ -150,6 +152,19 @@ def test_cli_jones_kanenobu(capsys):
     code, out, _ = run_cli(capsys, "jones", "--kanenobu", "0", "0")
     assert code == 0
     assert out.strip().startswith("t^-4")
+
+
+def test_cli_jones_kanenobu_refuses_an_over_budget_diagram_before_building_it(capsys):
+    # K_{P,Q} has 8 + |P| + |Q| crossings; building the 50,008 of (50000, 0)
+    # alone takes seconds
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "jones", "--kanenobu", "50000", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and err.startswith("error: 50008 crossings exceed the budget 24;")
+    code, _, err = run_cli(capsys, "jones", "--kanenobu", "8", "-9")
+    assert code == 1 and err.startswith("error: 25 crossings exceed the budget 24;")
+    code, out, _ = run_cli(capsys, "jones", "--kanenobu", "8", "-8")
+    assert code == 0 and out.strip()
 
 
 def test_cli_jones_pd_file(tmp_path, capsys):
@@ -575,3 +590,47 @@ def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
         runpy.run_module("qatorsion", run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == "Z/25; a1->t^13 a2->t^3 a3->t^6 a4->t\n"
+
+
+def _integral_minor(request):
+    from qatorsion.covers import abelianized_minor, kanenobu_minor_closed_form
+    for n in range(4):
+        minor = abelianized_minor(kanenobu_presentation(-10 * n, 10 * n + 3), 4, 4)
+        closed = kanenobu_minor_closed_form(n)
+        assert minor == closed
+        assert all(type(c) is int for c in minor.coeffs + closed.coeffs)
+
+
+def _coset_search(request):
+    from qatorsion import lattice
+    for lat in request.getfixturevalue("catalog25_session")[0]:
+        least = lattice._least_char_squares(lattice.GramLattice(lat.gram))
+        assert len(least) == 25 and all(type(q) is int for q in least.values())
+
+
+def _goeritz(request):
+    for j in range(10):
+        diagram, multiplicity = parity_reduced_diagram(
+            kanenobu_white_graph(*family_parameters(j, 1)))
+        assert goeritz_invariants(diagram, multiplicity)[1:] == (25, 0)
+
+
+# each exact integer path, and the modules whose Fraction it must not call
+NO_FRACTION_PATHS = {
+    "integral minor": (_integral_minor, ("covers", "foxcalc", "groupring")),
+    "coset search": (_coset_search, ("lattice",)),
+    "goeritz": (_goeritz, ("intmat", "skein")),
+}
+
+
+@pytest.mark.parametrize("path", sorted(NO_FRACTION_PATHS))
+def test_integer_paths_make_no_fraction(path, monkeypatch, request):
+    run, modules = NO_FRACTION_PATHS[path]
+
+    def refuse(*args):
+        raise AssertionError(f"the {path} made a Fraction")
+
+    for name in modules:
+        monkeypatch.setattr(importlib.import_module(f"qatorsion.{name}"), "Fraction",
+                            refuse, raising=False)
+    run(request)
