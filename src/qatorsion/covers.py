@@ -104,23 +104,24 @@ class WhiteGraph:
         return len(self.cyclic) == self.vertices + 1
 
     def is_connected(self) -> bool:
-        nodes = set(range(1, self.vertices + 1)) | {BOUNDARY}
-        adj = {v: set() for v in nodes}
+        """Every bounded vertex and every edge endpoint lie in one component
+        (the boundary vertex may have no edge)."""
+        if not self.edges:
+            return self.vertices <= 1
+        adj = {v: set() for v in range(1, self.vertices + 1)}
+        adj[BOUNDARY] = set()
         for a, b, _ in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        if not self.edges:
-            return self.vertices <= 1
         seen = set()
-        stack = [next(iter(nodes))]
+        stack = [self.edges[0][0]]
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
             stack.extend(adj[v] - seen)
-        used = {v for v in nodes if adj[v]} or {next(iter(nodes))}
-        return used <= seen
+        return all(v in seen for v, near in adj.items() if near or v != BOUNDARY)
 
     def to_json_dict(self) -> dict:
         return {

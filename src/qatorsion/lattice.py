@@ -141,14 +141,10 @@ class _ShortVectors:
             by_norm: dict[int, list] = {}
             for v in enumerate_in_ellipsoid(self._form, radius):
                 if any(v):
-                    image = tuple(_dot(row, v) for row in self._form)
-                    by_norm.setdefault(_dot(v, image), []).append((v, image))
+                    image = tuple([sum(map(mul, row, v)) for row in self._form])
+                    by_norm.setdefault(sum(map(mul, v, image)), []).append((v, image))
             self._by_norm, self._radius = by_norm, radius
         return self._by_norm
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +227,13 @@ def _adjugate(g: Sequence[Sequence[int]]) -> list[list[int]]:
 # splits into four equal blocks, searches one and takes under 1 ms.
 MAX_M_DISC = 10_000
 
+# The cost of m also grows with rank far below MAX_M_DISC, so one search
+# enumerates at most MAX_M_VECTORS characteristic vectors, summed over its
+# radius steps.  Counts: c_bound(25) 1,070 over all its blocks, <-10000>
+# 26,398, -A12 (disc 13) 81,672 in 2.2 s, -A15 94,684 in 2.7 s, the D = 9701
+# form above 87,906; -A16 passes the cap and is refused after about 4 s.
+MAX_M_VECTORS = 100_000
+
 
 def _check_m_disc(disc: int) -> None:
     if disc > MAX_M_DISC:
@@ -240,7 +243,8 @@ def _check_m_disc(disc: int) -> None:
 
 def _least_char_squares(lattice: GramLattice) -> dict[tuple[int, ...], int]:
     """For every characteristic coset, labelled by adj(G) chi mod 2D, the
-    least D (-chi^2) over the coset, a non-negative integer."""
+    least D (-chi^2) over the coset, a non-negative integer.  Refuses to
+    enumerate more than MAX_M_VECTORS vectors over all radius steps."""
     g, r, disc = lattice.gram, lattice.rank, lattice.disc
     adj = _adjugate(g)  # symmetric, so these rows are also its columns
     sign = (-1) ** (r + 1)  # sign * adj = D (-G^{-1}) is positive definite
@@ -249,10 +253,17 @@ def _least_char_squares(lattice: GramLattice) -> dict[tuple[int, ...], int]:
     parity = [g[i][i] % 2 for i in range(r)]
     modulus = 2 * disc
     radius = 0
+    visited = 0
     while True:
         least: dict[tuple[int, ...], int] = {}
         get = least.get
-        for chi in enumerate_in_ellipsoid(form, radius, parity):
+        for visited, chi in enumerate(enumerate_in_ellipsoid(form, radius, parity),
+                                      visited + 1):
+            if visited > MAX_M_VECTORS:
+                raise LatticeError(
+                    f"m of a rank {r} block of discriminant {disc} needs more than "
+                    f"MAX_M_VECTORS = {MAX_M_VECTORS} characteristic vectors, "
+                    "the cap on computing m")
             image = [sum(map(mul, col, chi)) for col in adj]
             q = sign * sum(map(mul, chi, image))
             label = tuple([x % modulus for x in image])
@@ -359,6 +370,23 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
     first; such a filling is never the first member of its class, and the
     stored representatives all obey the rule.  Up to 2^(rank - 1) sign
     copies of each filling are skipped this way.
+
+    The last position (r-2, r-1) is solved for instead of scanned.  One
+    elimination with that entry v set to 0 gives the leading minors
+    Delta_1..Delta_{r-1}, which do not contain v, so if one of them is not
+    positive no v can pass.  After r-2 steps its row r-2 holds the bordered
+    minor q(v) = q0 + Delta_{r-2} v (Delta_0 = 1), and Desnanot-Jacobi,
+    det(v) Delta_{r-2} = Delta_{r-1} A - q(v)^2 with A free of v, gives
+    det(v) = D exactly when
+    (q0 + Delta_{r-2} v)^2 = q0^2 + Delta_{r-2} (det(0) - D): one isqrt,
+    at most two values.  Those inside the position's range [-half, top] go,
+    in increasing order, through the full elimination and the dedupe, as
+    every value of the range did before.  The same leaves therefore reach
+    the dedupe in the same order: if some v gives a positive definite form
+    of determinant D, its leading block is positive definite, so the v = 0
+    elimination replaces no pivot in its first r-1 steps and q0,
+    Delta_{r-2} and det(0) are exact; a root that stems from a replaced
+    pivot fails the full elimination.  The representatives do not change.
     """
     if rank > MAX_COMPLETE_RANK:
         raise LatticeError(
@@ -402,7 +430,10 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
             half = min(diag[i], diag[j]) // 2
             pair = 1 << i | 1 << j
             top = half if (touched & pair) == pair else 0
-            for v in range(-half, top + 1):
+            values = range(-half, top + 1)
+            if k == len(positions) - 1:
+                values = [v for v in _last_entry_roots(mat, disc) if -half <= v <= top]
+            for v in values:
                 mat[i][j] = mat[j][i] = v
                 fill(k + 1, touched | pair if v else touched)
             mat[i][j] = mat[j][i] = 0
@@ -410,6 +441,27 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
         fill(0, 0)
     return sorted((lat for bucket in buckets.values() for lat in bucket),
                   key=lambda lat: lat.gram)
+
+
+def _last_entry_roots(mat: Sequence[Sequence[int]], disc: int) -> list[int]:
+    """The values v, in increasing order, that may give the form `mat`
+    determinant `disc` with v in its last off-diagonal entry (r-2, r-1),
+    which is 0 in `mat`; none when a leading pivot Delta_1..Delta_{r-1} is
+    not positive.  det(v) = disc exactly when
+    (q0 + Delta_{r-2} v)^2 = q0^2 + Delta_{r-2} (det(0) - disc)."""
+    r = len(mat)
+    rows = _symmetric_bareiss(mat)
+    if any(rows[k][k] <= 0 for k in range(r - 1)):
+        return []
+    lead = rows[r - 3][r - 3] if r > 2 else 1  # Delta_{r-2}
+    q0 = rows[r - 2][r - 1]
+    square = q0 * q0 + lead * (rows[-1][-1] - disc)
+    if square < 0:
+        return []
+    s = isqrt(square)
+    if s * s != square:
+        return []
+    return [(q - q0) // lead for q in sorted({-s, s}) if (q - q0) % lead == 0]
 
 
 def _isometry_key(lattice: GramLattice) -> tuple[int, ...]:
@@ -438,7 +490,7 @@ def lattices_isometric(a: GramLattice, b: GramLattice) -> bool:
             return abs(det_bareiss([list(v) for v in chosen])) == 1
         row = pos_a[k]
         for v, image in shells[k]:
-            if any(_dot(v, images[i]) != row[i] for i in range(k)):
+            if any(sum(map(mul, v, images[i])) != row[i] for i in range(k)):
                 continue
             chosen.append(v)
             images.append(image)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qatorsion
 from qatorsion.covers import BOUNDARY, WhiteGraph, kanenobu_white_graph
 from qatorsion.diagrams import (DiagramError, LinkDiagram, kanenobu_diagram,
                                 parity_reduced_diagram, unknot_diagram,
@@ -109,6 +115,28 @@ def test_white_graph_diagram_requires_boundary_rotation():
     d = white_graph_diagram(with_boundary)
     assert d.n_crossings == 3
     assert d.n_components() == 1
+
+
+# Vertex 1 is an isolated region; a diagram with crossings has none.
+ISOLATED_REGION = """
+from qatorsion.covers import BOUNDARY, WhiteGraph
+from qatorsion.diagrams import DiagramError, white_graph_diagram
+graph = WhiteGraph(vertices=2, edges=((BOUNDARY, 2, -1),), cyclic=((), (1,), (0,)))
+try:
+    white_graph_diagram(graph)
+except DiagramError as exc:
+    print(graph.is_connected(), exc)
+"""
+
+
+def test_white_graph_connectivity_does_not_depend_on_the_hash_seed():
+    src = str(Path(qatorsion.__file__).resolve().parent.parent)
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", ISOLATED_REGION], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False white graph is disconnected\n", seed
 
 
 def test_generated_diagram_faces_match_white_regions():

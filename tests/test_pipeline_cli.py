@@ -526,6 +526,26 @@ def test_cli_mlattice_and_catalog_refuse_a_discriminant_above_the_cap(tmp_path, 
     assert code == 0 and out.strip() == f"{1 - MAX_M_DISC}/4"
 
 
+def test_cli_mlattice_refuses_a_search_over_the_vector_cap(tmp_path):
+    # -A16 has discriminant 17, far below MAX_M_DISC, but its search ran
+    # for minutes before the cap
+    import subprocess
+    import sys
+
+    import qatorsion
+    from qatorsion.lattice import MAX_M_VECTORS
+    path = tmp_path / "a16.json"
+    path.write_text(json.dumps([[-2 if i == j else int(abs(i - j) == 1)
+                                 for j in range(16)] for i in range(16)]))
+    env = {"PYTHONPATH": str(Path(qatorsion.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-m", "qatorsion", "mlattice", "--gram", str(path)],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr == (f"error: m of a rank 16 block of discriminant 17 needs more than "
+                          f"MAX_M_VECTORS = {MAX_M_VECTORS} characteristic vectors, "
+                          "the cap on computing m\n")
+
+
 # ---------------------------------------------------------------------------
 # Members at constant cost in n, checked against the full diagram path
 # ---------------------------------------------------------------------------
