@@ -26,9 +26,12 @@ coset maximum of (chi^2 + rank) / 4 is the sum of the two maxima, and the
 minimum over pairs is the sum of the two minima.  m_invariant therefore
 splits G into the connected components of its off-diagonal support and
 adds their m, computing each distinct block Gram matrix once; a <-1>
-block adds 0 without a search.  c_bound shares one such table across its
-catalog, whose members are mostly <-1>^k + L', so each distinct block is
-computed once per call.  No table outlives the call that made it.
+block adds 0 without a search.  The cube radius also gives every lattice
+the floor m >= (rank - sum |G_ij|) / 4 (_m_floor), so c_bound visits its
+catalog in increasing floor order and computes m only while the floor is
+below the least m found so far; the members it does compute share one
+table, each distinct block computed once per call.  No table outlives the
+call that made it.  Of the D = 25 catalog only <-25> is searched.
 
 The ellipsoid search is the Fincke-Pohst enumeration, on integers.  Every
 form it is given is integral (-G, or +-adj) with an integer radius.  One
@@ -229,7 +232,7 @@ MAX_M_DISC = 10_000
 
 # The cost of m also grows with rank far below MAX_M_DISC, so one search
 # enumerates at most MAX_M_VECTORS characteristic vectors, summed over its
-# radius steps.  Counts: c_bound(25) 1,070 over all its blocks, <-10000>
+# radius steps.  Counts: c_bound(25) 58 (it searches only <-25>), <-10000>
 # 26,398, -A12 (disc 13) 81,672 in 2.2 s, -A15 94,684 in 2.7 s, the D = 9701
 # form above 87,906; -A16 passes the cap and is refused after about 4 s.
 MAX_M_VECTORS = 100_000
@@ -321,6 +324,23 @@ def _sum_over_blocks(lattice: GramLattice, table: dict) -> Fraction:
             table[gram] = _block_m(gram)
         total += table[gram]
     return total
+
+
+def _m_floor(lattice: GramLattice) -> Fraction:
+    """A lower bound on m: (rank - sum |G_ij|) / 4, summed over all entries.
+
+    Cube lemma: every characteristic coset holds a chi whose x = G^{-1} chi
+    lies in the cube [-1, 1)^r (moving chi by 2G Z^r moves x by 2Z^r), and
+    there -chi^2 = -x^T G x <= sum |G_ij|.  So the least -chi^2 of every
+    coset is at most sum |G_ij|, each coset maximum of (chi^2 + r) / 4 is at
+    least (r - sum |G_ij|) / 4, and so is their minimum m.
+
+    The bound adds over orthogonal blocks as m does: no entry of G lies
+    outside its blocks, so the rank and sum |G_ij| of G are the sums of
+    those of its blocks, and the floor of G is the sum of its block floors.
+    A <-1> block adds 1 - 1 = 0, as its m does; the floor is m exactly on
+    <-1>^k + <-D>, where the coset of chi = D in <-D> has least -chi^2 = D."""
+    return Fraction(lattice.rank - sum(abs(x) for row in lattice.gram for x in row), 4)
 
 
 def m_invariant(lattice: GramLattice) -> Fraction:
@@ -545,10 +565,14 @@ def build_catalog(disc: int) -> list[GramLattice]:
 
 
 def c_bound(disc: int, catalog: Sequence[GramLattice]) -> CBound:
-    """Minimum m over the catalog, each distinct orthogonal block of its
-    members computed once.  Complete only when the enumeration certifies
-    every rank 0..D-1 (D-1 <= MAX_COMPLETE_RANK) and every class it finds is
-    isometric to a catalog member."""
+    """Minimum m over the catalog, by branch and bound on `_m_floor`: the
+    members are visited in increasing (floor, catalog index) order, and m is
+    computed only while the floor is below the least m found so far, each
+    distinct orthogonal block once per call.  A member left out has
+    m >= its floor >= that least m, so the minimum is exact.  Complete only
+    when the enumeration certifies every rank 0..D-1
+    (D-1 <= MAX_COMPLETE_RANK) and every class it finds is isometric to a
+    catalog member."""
     if disc < 1:
         raise LatticeError(f"the determinant must be >= 1, got {disc}")
     for lat in catalog:
@@ -566,9 +590,14 @@ def c_bound(disc: int, catalog: Sequence[GramLattice]) -> CBound:
         for cls in build_catalog(disc))
     # every block's discriminant divides disc, so one check covers them all
     _check_m_disc(disc)
-    table: dict = {}  # one m per distinct block Gram matrix of the catalog
-    values = [_sum_over_blocks(lat, table) for lat in members]
-    return CBound(disc=disc, value=min(values), complete=complete,
+    table: dict = {}  # one m per distinct block Gram matrix searched
+    ranked = sorted(members, key=_m_floor)  # stable: ties keep catalog order
+    value = _sum_over_blocks(ranked[0], table)
+    for lat in ranked[1:]:
+        if _m_floor(lat) >= value:
+            break  # this member and every later one has m >= value
+        value = min(value, _sum_over_blocks(lat, table))
+    return CBound(disc=disc, value=value, complete=complete,
                   catalog_size=len(catalog))
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from qatorsion import lattice
 from qatorsion.intmat import _symmetric_bareiss, det_bareiss, identity
-from qatorsion.lattice import (CATALOG_CONDITION, UNIT_CONDITION, CBound,
-                               GramLattice, LatticeError, _adjugate,
+from qatorsion.lattice import (CATALOG_CONDITION, MAX_COMPLETE_RANK,
+                               UNIT_CONDITION, CBound, GramLattice,
+                               LatticeError, _adjugate, _m_floor,
                                build_catalog, c_bound, catalog_from_json,
                                catalog_to_json,
                                enumerate_definite_lattices,
@@ -181,13 +183,14 @@ def test_c_bound25_within_budget(catalog25_session):
     bound = c_bound(25, catalog)
     elapsed = time.perf_counter() - start
     assert bound.value == -6
-    assert elapsed < 0.25, f"c_bound(25) took {elapsed:.2f}s, budget 0.25s"
+    assert elapsed < 0.05, f"c_bound(25) took {elapsed:.3f}s, budget 0.05s"
 
 
 def test_c_bound25_searches_each_distinct_block_once_per_call(monkeypatch,
                                                               catalog25_session):
     # The 20 lattices split into 41 orthogonal blocks with 10 distinct Gram
-    # matrices; <-1> is one of them and needs no search.
+    # matrices.  <-25> has the least floor, -6, which its m reaches, so
+    # every other member is pruned and <-25> is the one search.
     catalog = [GramLattice(lat.gram) for lat in catalog25_session[0]]
     calls, search = [], lattice._least_char_squares
 
@@ -197,12 +200,11 @@ def test_c_bound25_searches_each_distinct_block_once_per_call(monkeypatch,
 
     monkeypatch.setattr(lattice, "_least_char_squares", counted)
     assert c_bound(25, catalog).value == -6
-    assert len(calls) == 9 and len(set(calls)) == 9
-    assert ((-1,),) not in calls
-    # No table outlives the call: a second call searches them all again.
+    assert calls == [((-25,),)]
+    # No table outlives the call: a second call searches <-25> again.
     calls.clear()
     assert c_bound(25, catalog).value == -6
-    assert len(calls) == 9
+    assert calls == [((-25,),)]
     calls.clear()
     assert m_invariant(GramLattice.diagonal([-5, -1, -5, -1])) == -2
     assert calls == [((-5,),)]
@@ -510,6 +512,65 @@ def test_c_bound_examples():
     assert cb2.value == m_invariant(GramLattice.diagonal([-2]))
     with pytest.raises(LatticeError):
         c_bound(2, [GramLattice.diagonal([-3])])
+
+
+@pytest.fixture(scope="module")
+def catalogs_to_30():
+    return {disc: build_catalog(disc) for disc in range(1, 31)}
+
+
+def test_m_floor_is_below_m_on_every_catalog_lattice(catalogs_to_30):
+    for disc, catalog in catalogs_to_30.items():
+        for lat in catalog:
+            assert _m_floor(lat) <= m_invariant(lat), lat.gram
+        # the floor is m exactly on <-1>^k + <-D>
+        for k in range(4):
+            lat = GramLattice.diagonal([-1] * k + [-disc])
+            assert _m_floor(lat) == m_invariant(lat) == Fraction(1 - disc, 4)
+
+
+def test_c_bound_is_the_minimum_of_m_over_the_catalog(catalogs_to_30):
+    def exhaustive(disc, catalog):
+        return CBound(disc=disc, value=min(m_invariant(lat) for lat in catalog),
+                      complete=disc - 1 <= MAX_COMPLETE_RANK,
+                      catalog_size=len(catalog))
+
+    for disc, catalog in catalogs_to_30.items():
+        assert c_bound(disc, catalog) == exhaustive(disc, catalog)
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+    committed = catalog_from_json((reference / "catalog_d25.json").read_text())
+    want = exhaustive(25, committed)
+    assert want == CBound(disc=25, value=Fraction(-6), complete=False, catalog_size=20)
+    assert c_bound(25, committed[::-1]) == want
+    rng = random.Random(15)
+    for _ in range(5):
+        rng.shuffle(committed)
+        assert c_bound(25, committed) == want
+    # in a subset without the m = -6 members, the least floor need not
+    # belong to the least m
+    for size in range(1, 20):
+        subset = rng.sample(committed, size)
+        assert c_bound(25, subset) == exhaustive(25, subset)
+
+
+def test_c_bound_prunes_a_member_whose_search_is_over_the_cap(monkeypatch):
+    # -A16 + <-3> (disc 51) has floor -12 >= m(<-51>) = -25/2, so it is never
+    # searched; searching its -A16 block would pass MAX_M_VECTORS.
+    rows = [[-2 if i == j else int(abs(i - j) == 1) for j in range(16)] + [0]
+            for i in range(16)] + [[0] * 16 + [-3]]
+    member = GramLattice.from_rows(rows)
+    assert member.disc == 51 and _m_floor(member) == -12
+    calls, search = [], lattice._least_char_squares
+
+    def counted(lat):
+        calls.append(lat.gram)
+        return search(lat)
+
+    monkeypatch.setattr(lattice, "_least_char_squares", counted)
+    bound = c_bound(51, [member, GramLattice.diagonal([-51])])
+    assert bound == CBound(disc=51, value=Fraction(-25, 2), complete=False,
+                           catalog_size=2)
+    assert calls == [((-51,),)]
 
 
 def test_verdict_unknot_not_obstructed():
