@@ -9,6 +9,7 @@ Exit status: 0 on success, 1 on usage errors or malformed input files,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -78,7 +79,10 @@ def _member(args, bound=None) -> tuple[Fraction, FamilyRecord]:
     return lam, family_member(0, args.n, lam, epsilon, bound)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process; `parse_args` keeps no state between calls."""
     parser = _Parser(prog="qatorsion",
                      description="torsion and lattice obstructions for "
                                  "branched double covers of the two-twist-region knots")
@@ -137,8 +141,11 @@ def main(argv=None) -> int:
     p_cat = sub.add_parser("catalog", parents=[common], help="write the generated lattice catalog")
     p_cat.add_argument("--det", type=_int_option, default=25)
     p_cat.add_argument("--out", help="output file (default stdout)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (DiagramError, LatticeError, HomologyNotFiniteError,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Optional, Sequence
 
@@ -109,6 +110,7 @@ def family_parameters(offset: int, n: int) -> tuple[int, int]:
     return -10 * n - offset, 10 * n + offset + 3
 
 
+@lru_cache(maxsize=None)
 def family_casson_walker(offset: int) -> Fraction:
     """Casson-Walker invariant of the double branched covers in the family,
     computed once on the small member (p, q) = (0, offset + 3).
@@ -117,6 +119,11 @@ def family_casson_walker(offset: int) -> Fraction:
     Jones polynomial (checked exactly on small members by the test suite),
     the signature vanishes for these ribbon knots, and the surgery formula
     only sees V and sigma.
+
+    The value is a pure function of the offset, so it is computed once per
+    offset per process and then served from a cache.  A test that patches
+    the diagram or Jones path must call `family_casson_walker.cache_clear()`
+    before and after, or it reads (or leaves behind) a stale value.
     """
     return mullins_lambda(kanenobu_diagram(0, offset + 3))
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 from qatorsion.covers import (BOUNDARY, BranchedCoverPresentation, WhiteGraph,
@@ -24,8 +25,7 @@ from qatorsion.foxcalc import (FreeWord, Letter, Presentation, Relator, gen,
                                relator, winv, wmul)
 from qatorsion.groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
                                  phi_at_divisor, phi_reconstruct_divisors)
-from qatorsion.intmat import (_symmetric_bareiss, det_bareiss, invert_rational,
-                              smith_normal_form)
+from qatorsion.intmat import _symmetric_bareiss, det_bareiss, smith_normal_form
 from qatorsion import lattice as lattice_module
 from qatorsion.lattice import GramLattice, LatticeError
 from qatorsion.laurent import Laurent
@@ -51,33 +51,62 @@ def brute_convolution(a: list[Fraction], b: list[Fraction], n: int) -> list[Frac
 # ---------------------------------------------------------------------------
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a consistent (possibly overdetermined) full-column-rank system."""
+    """Solve a consistent (possibly overdetermined) full-column-rank system.
+
+    Each equation is scaled to integers, then fraction-free Gauss-Jordan
+    elimination (Bareiss) clears every pivot column: each entry stays an
+    integer minor of the scaled system, so every division by the previous
+    pivot is exact, and every pivot row ends with the same pivot d on its
+    diagonal.  The only rational division is x_c = b_c / d, one per entry.
+    """
     m, n = len(rows), len(rows[0])
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
+    aug = []
+    for row, b in zip(rows, rhs):
+        entries = [Fraction(x) for x in row] + [Fraction(b)]
+        scale = lcm(*(x.denominator for x in entries))
+        aug.append([x.numerator * (scale // x.denominator) for x in entries])
+    prev = 1
     for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        piv = next((i for i in range(c, m) if aug[i][c]), None)
         if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+            raise ValueError("system is rank-deficient")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pivot_row = aug[c]
+        pv = pivot_row[c]
         for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if r < n:
-        raise ValueError("system is rank-deficient")
-    for i in range(r, m):
+            if i != c:
+                row, f = aug[i], aug[i][c]
+                aug[i] = [(pv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pv
+    for i in range(n, m):
         if aug[i][n] != 0:
             raise ValueError("inconsistent system")
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][n]
-    return sol
+    return [Fraction(aug[c][n], prev) for c in range(n)]
+
+
+def _cofactor_det(m) -> int:
+    """Determinant of a square integer matrix by Laplace expansion along
+    the rows, memoised on the set of columns left."""
+    n = len(m)
+
+    @lru_cache(maxsize=None)
+    def expand(cols: tuple[int, ...]) -> int:
+        row = n - len(cols)
+        if row == n:
+            return 1
+        return sum((-1) ** k * m[row][c] * expand(cols[:k] + cols[k + 1:])
+                   for k, c in enumerate(cols) if m[row][c])
+
+    return expand(tuple(range(n)))
+
+
+def _cofactor_adjugate(m) -> tuple[list[list[int]], int]:
+    """The adjugate adj(M), with adj(M) M = det(M) I, and det(M)."""
+    n = len(m)
+    adj = [[(-1) ** (i + j) * _cofactor_det(
+                [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
+    return adj, sum(m[0][j] * adj[j][0] for j in range(n))
 
 
 def symmetric_signature(m) -> int:
@@ -295,19 +324,17 @@ def char_cosets(lattice: GramLattice) -> list[CharCoset]:
         return [CharCoset((), ())]
     two_g = [[2 * x for x in row] for row in lattice.gram]
     diag, u, _v = smith_normal_form(two_g)
-    u_inv = invert_rational(u)
+    u_adj, u_det = _cofactor_adjugate(u)
+    if u_det not in (1, -1):
+        raise AssertionError("U must be unimodular")
+    u_inv = [[u_det * x for x in row] for row in u_adj]
     parity = [lattice.gram[i][i] % 2 for i in range(r)]
     label = _coset_labeller(lattice)
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     # enumerate Z^r / 2G Z^r as the box over the Smith factors
     def walk(i: int, digits: list[int]):
         if i == r:
-            vec = []
-            for row in u_inv:
-                val = sum(row[j] * digits[j] for j in range(r))
-                if val.denominator != 1:
-                    raise AssertionError("U inverse must be integral")
-                vec.append(int(val))
+            vec = [sum(row[j] * digits[j] for j in range(r)) for row in u_inv]
             if all(vec[k] % 2 == parity[k] for k in range(r)):
                 key = label(vec)
                 reps.setdefault(key, tuple(vec))
@@ -332,44 +359,50 @@ def char_cosets(lattice: GramLattice) -> list[CharCoset]:
 def brute_coset_maxima(lattice) -> dict[tuple, Fraction]:
     """Independent re-derivation of the per-coset maxima of chi^2: greedy
     seeds, a provable coordinate box, and a full parity-constrained scan,
-    keyed by the coset_id of char_cosets."""
+    keyed by the coset_id of char_cosets.
+
+    chi^2 = chi^T adj(G) chi / det G; the scan compares the integers
+    sq(chi) = chi^2 * |det G| and divides once per coset at the end."""
     from itertools import product
 
     r = lattice.rank
     if r == 0:
         return {(): Fraction(0)}
-    inv = invert_rational([list(row) for row in lattice.gram])
+    gram = [list(row) for row in lattice.gram]
+    adj, det = _cofactor_adjugate(gram)
+    if det < 0:
+        adj = [[-x for x in row] for row in adj]
 
-    def chi_sq(chi):
-        return sum(chi[i] * inv[i][j] * chi[j] for i in range(r) for j in range(r))
+    def sq(chi):
+        return sum(chi[i] * sum(a * x for a, x in zip(adj[i], chi))
+                   for i in range(r))
 
     def greedy(chi):
-        cur, best = list(chi), chi_sq(chi)
+        cur, best = list(chi), sq(chi)
         moved = True
         while moved:
             moved = False
             for j in range(r):
                 for s in (2, -2):
-                    cand = [cur[i] + s * lattice.gram[i][j] for i in range(r)]
-                    v = chi_sq(cand)
+                    cand = [cur[i] + s * gram[i][j] for i in range(r)]
+                    v = sq(cand)
                     if v > best:
                         cur, best = cand, v
                         moved = True
         return cur, best
 
     label = _coset_labeller(lattice)
-    best: dict[tuple, Fraction] = {}
+    best: dict[tuple, int] = {}
     seeds = []
     for coset in char_cosets(lattice):
         chi, val = greedy(coset.representative)
         seeds.append(val)
         best[coset.coset_id] = val
     radius = max(-v for v in seeds)
-    bounds = []
-    for i in range(r):
-        b2 = radius * (-lattice.gram[i][i])
-        bounds.append(isqrt(b2.numerator * b2.denominator) // b2.denominator + 1)
-    parity = [lattice.gram[i][i] % 2 for i in range(r)]
+    # |chi_i| <= sqrt(-chi^2 * -G_ii), with -chi^2 <= radius / |det G|
+    bounds = [isqrt(radius * -gram[i][i] * abs(det)) // abs(det) + 1
+              for i in range(r)]
+    parity = [gram[i][i] % 2 for i in range(r)]
     ranges = []
     for i in range(r):
         lo = -bounds[i]
@@ -377,12 +410,12 @@ def brute_coset_maxima(lattice) -> dict[tuple, Fraction]:
             lo += 1
         ranges.append(range(lo, bounds[i] + 1, 2))
     for chi in product(*ranges):
-        v = chi_sq(list(chi))
+        v = sq(chi)
         if -v <= radius:
-            key = label(list(chi))
+            key = label(chi)
             if v > best[key]:
                 best[key] = v
-    return best
+    return {key: Fraction(v, abs(det)) for key, v in best.items()}
 
 
 def brute_m_invariant(lattice) -> Fraction:

@@ -602,6 +602,29 @@ def test_member_at_a_million_twists_within_budget():
     assert elapsed < 1.0, f"one member at n = 10^6 took {elapsed:.2f} s"
 
 
+def test_family_casson_walker_is_computed_once_per_offset(monkeypatch):
+    from qatorsion import pipeline
+    from qatorsion.pipeline import family_casson_walker
+    from qatorsion.skein import mullins_lambda
+    calls = []
+
+    def counted(diagram):
+        calls.append(diagram)
+        return mullins_lambda(diagram)
+
+    family_casson_walker.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "mullins_lambda", counted)
+            first = [family_casson_walker(j) for j in range(10)]
+            assert len(calls) == 10
+            assert [family_casson_walker(j) for j in range(10)] == first
+            assert len(calls) == 10
+    finally:
+        family_casson_walker.cache_clear()
+    assert first == [mullins_lambda(kanenobu_diagram(0, j + 3)) for j in range(10)]
+
+
 def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
     import runpy
     import sys
@@ -610,6 +633,40 @@ def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
         runpy.run_module("qatorsion", run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == "Z/25; a1->t^13 a2->t^3 a3->t^6 a4->t\n"
+
+
+# one process, calls in this order; the parser built by the first is shared
+# by the rest, so a --format or an error of one call must not reach the next
+BACK_TO_BACK_CALLS = (
+    ("verdict", "--n", "3", "--format", "json"),
+    ("verdict", "--n", "3"),
+    ("--format", "json", "verdict", "--n", "3"),
+    ("verdict", "--n", "x"),
+    ("verdict", "--n", "8"),
+    ("family", "--j", "2", "--nmax", "3", "--format", "json"),
+    ("catalog", "--det", "5"),
+)
+
+
+def test_back_to_back_cli_calls_match_fresh_processes(capsys):
+    import subprocess
+    import sys
+
+    import qatorsion
+    env = {"PYTHONPATH": str(Path(qatorsion.__file__).resolve().parent.parent)}
+    codes = []
+    for argv in BACK_TO_BACK_CALLS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "qatorsion", *argv], env=env,
+                               capture_output=True, text=True, timeout=30)
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout,
+                                            fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 1, 0, 0, 0]
 
 
 def _integral_minor(request):
