@@ -20,21 +20,19 @@ an unexpected homology order (cross-check against the diagram determinant).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Union
 
 from .foxcalc import (Presentation, Relator, Run, abelianize_relator_derivative,
                       determinant_cofactor, gen, presentation_matrix, winv,
                       wmul)
 from .groupring import GroupRingElem
 from .intmat import smith_normal_form
+from .records import Record
 
 BOUNDARY = "B"
 
 
-@dataclass(frozen=True)
-class WhiteGraph:
+class WhiteGraph(Record):
     """Signed plane multigraph of white regions, parallel edges bundled.
 
     vertices: number of bounded-region vertices, numbered 1..k.
@@ -49,7 +47,7 @@ class WhiteGraph:
     """
 
     vertices: int
-    edges: tuple[tuple[Union[int, str], Union[int, str], int], ...]
+    edges: tuple[tuple[int | str, int | str, int], ...]
     cyclic: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -82,7 +80,7 @@ class WhiteGraph:
         """The same graph with every edge of weight w written as |w| edges of
         sign sgn(w), numbered consecutively; their ends run in order at the
         first endpoint and in reverse at the second, as parallel edges do."""
-        edges: list[tuple[Union[int, str], Union[int, str], int]] = []
+        edges: list[tuple[int | str, int | str, int]] = []
         ends: dict[int, list[int]] = {}
         for e, (a, b, weight) in enumerate(self.edges):
             first = len(edges)
@@ -96,7 +94,7 @@ class WhiteGraph:
 
     # -- helpers -------------------------------------------------------------
 
-    def other_end_vertex(self, end_id: int) -> Union[int, str]:
+    def other_end_vertex(self, end_id: int) -> int | str:
         edge = self.edges[end_id // 2]
         return edge[1] if end_id % 2 == 0 else edge[0]
 
@@ -155,8 +153,7 @@ def _is_int_rows(rows, *allowed) -> bool:
         for row in rows)
 
 
-@dataclass(frozen=True)
-class BranchedCoverPresentation:
+class BranchedCoverPresentation(Record):
     """Presentation of pi_1 of a double branched cover plus the dual-curve
     homology data used by the torsion formula.
 
@@ -167,12 +164,12 @@ class BranchedCoverPresentation:
     """
 
     presentation: Presentation
-    factors: Optional[tuple[int, ...]] = None
-    g_classes: Optional[tuple[int, ...]] = None
-    h_classes: Optional[tuple[int, ...]] = None
+    factors: tuple[int, ...] | None = None
+    g_classes: tuple[int, ...] | None = None
+    h_classes: tuple[int, ...] | None = None
 
     @property
-    def modulus(self) -> Optional[int]:
+    def modulus(self) -> int | None:
         return self.presentation.modulus
 
 
@@ -224,7 +221,7 @@ def white_graph_presentation(graph: WhiteGraph) -> BranchedCoverPresentation:
 
 
 def homology_invariants(pres: Presentation
-                        ) -> tuple[list[int], Optional[tuple[int, ...]], Optional[int]]:
+                        ) -> tuple[list[int], tuple[int, ...] | None, int | None]:
     """Invariant factors of H_1 plus, when H_1 is finite cyclic of order N,
     the generator images a_i -> t^{k_i} normalised so the last generator
     with a unit image maps to t.
@@ -280,9 +277,9 @@ def kanenobu_white_graph(p: int, q: int) -> WhiteGraph:
     edge at v1, a -1 edge at v2, a -2 edge at v3 and a +2 edge at v4: at
     most eight edges for any p and q.
     """
-    edges: list[tuple[Union[int, str], Union[int, str], int]] = []
+    edges: list[tuple[int | str, int | str, int]] = []
 
-    def add(a, b, weight) -> Optional[int]:
+    def add(a, b, weight) -> int | None:
         if not weight:
             return None
         edges.append((a, b, weight))

@@ -21,7 +21,7 @@ they came from.
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 from .covers import BOUNDARY, WhiteGraph
 from .tokens import UNSIGNED
@@ -45,7 +45,7 @@ class LinkDiagram:
 
     def __init__(self, crossings: Sequence[tuple[int, int, int, int]],
                  free_loops: int = 0,
-                 unbounded_quadrant: Optional[tuple[int, int]] = None):
+                 unbounded_quadrant: tuple[int, int] | None = None):
         self.crossings = tuple(tuple(int(x) for x in c) for c in crossings)
         self.free_loops = int(free_loops)
         if any(len(c) != 4 for c in self.crossings):
@@ -60,7 +60,7 @@ class LinkDiagram:
         self._unbounded_quadrant = unbounded_quadrant
         self._shadows = self._count_shadows()
         self._trace_faces()
-        self._colors: Optional[list[int]] = None
+        self._colors: list[int] | None = None
         self._orientation = self._orient()
 
     # -- basic structure -----------------------------------------------------
@@ -360,7 +360,7 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
     if n_edges == 0:
         return unknot_diagram()
 
-    rotations: dict[Union[int, str], list[int]] = {}
+    rotations: dict[int | str, list[int]] = {}
     for v in range(1, graph.vertices + 1):
         rotations[v] = list(graph.cyclic[v - 1])
     rotations[BOUNDARY] = list(graph.cyclic[graph.vertices])

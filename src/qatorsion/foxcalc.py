@@ -14,11 +14,11 @@ from text is the one-run case (w, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import gcd
-from typing import Optional, Sequence
 
 from .groupring import GroupRingElem
+from .records import Record
 from .tokens import parse_int
 
 Letter = tuple[int, int]          # (generator index >= 1, exponent +-1)
@@ -133,8 +133,7 @@ def _power_sum(e: int, k: int, modulus: int) -> list[tuple[int, int]]:
 # Presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A finite group presentation < a_1 .. a_g | r_1 .. r_k >, each relator
     a tuple of runs (see the module docstring).
 
@@ -144,8 +143,8 @@ class Presentation:
 
     gens: int
     relators: tuple[Relator, ...]
-    assignment: Optional[tuple[int, ...]] = None
-    modulus: Optional[int] = None
+    assignment: tuple[int, ...] | None = None
+    modulus: int | None = None
 
     def __post_init__(self):
         if self.gens < 0:
@@ -163,7 +162,7 @@ class Presentation:
         """Every relator must die in the abelianization."""
         return self.unkilled_relator() is None
 
-    def unkilled_relator(self) -> Optional[int]:
+    def unkilled_relator(self) -> int | None:
         """Index of the first relator the assignment does not send to 1, or
         None when it kills them all (or there is no assignment)."""
         if self.assignment is None:
@@ -220,7 +219,7 @@ def presentation_from_text(text: str) -> Presentation:
     gens = parse_int(head[1], "generator count")
     relators: list[Relator] = []
     assignment = None
-    modulus: Optional[int] = None
+    modulus: int | None = None
     for ln in lines[1:]:
         if ln.startswith("assign "):
             if assignment is not None:

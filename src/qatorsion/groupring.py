@@ -18,9 +18,9 @@ integers stay Python ints.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .intmat import invert_rational
 

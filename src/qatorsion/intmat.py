@@ -10,8 +10,8 @@ clarity beats asymptotics.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 
 def identity(n: int) -> list[list[int]]:

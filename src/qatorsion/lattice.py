@@ -49,26 +49,28 @@ pivot is the discriminant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 from .intmat import _symmetric_bareiss, det_bareiss
+from .records import Record
 
 
 class LatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GramLattice:
-    """A negative-definite symmetric integer bilinear form."""
+class GramLattice(Record):
+    """A negative-definite symmetric integer bilinear form.
+
+    `disc`, the discriminant det(-G), is derived from the Gram matrix when
+    the lattice is built; it is not a field, so equality, the hash and the
+    repr see the Gram matrix alone."""
 
     gram: tuple[tuple[int, ...], ...]
-    disc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -155,7 +157,7 @@ class _ShortVectors:
 # ---------------------------------------------------------------------------
 
 def enumerate_in_ellipsoid(form: Sequence[Sequence[int]], radius: int,
-                           parity: Optional[Sequence[int]] = None
+                           parity: Sequence[int] | None = None
                            ) -> Iterable[tuple[int, ...]]:
     """All integer vectors x (including 0 when parity allows) with
     x^T A x <= radius, A a positive definite integer form and radius an
@@ -527,8 +529,7 @@ def lattices_isometric(a: GramLattice, b: GramLattice) -> bool:
 # C(D) and the verdict
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CBound:
+class CBound(Record):
     """Lower-bound constant over a catalog of definite lattices with
     rank < disc = D.  `complete` is True only when the catalog provably
     holds every class of every rank 0..D-1."""
@@ -601,8 +602,7 @@ def c_bound(disc: int, catalog: Sequence[GramLattice]) -> CBound:
                   catalog_size=len(catalog))
 
 
-@dataclass(frozen=True)
-class QAVerdict:
+class QAVerdict(Record):
     """Outcome of the obstruction check for one manifold."""
 
     disc: int

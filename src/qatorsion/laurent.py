@@ -8,8 +8,8 @@ see `skein.JonesPolynomial`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 
 class Laurent:

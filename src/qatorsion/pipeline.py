@@ -13,17 +13,17 @@ these to exit status 2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Optional, Sequence
 
 from .covers import (abelianized_minor, kanenobu_minor_closed_form,
                      kanenobu_presentation, kanenobu_white_graph)
 from .diagrams import kanenobu_diagram, parity_reduced_diagram
 from .groupring import GroupRingElem
 from .lattice import CBound, GramLattice, QAVerdict, c_bound, qa_verdict
+from .records import Record
 from .skein import goeritz_invariants, mullins_lambda
 from .torsion import (DEFAULT_EPSILON, TorsionVector, d_invariants,
                       torsion_from_minor)
@@ -38,23 +38,22 @@ def _require(condition: bool, message: str) -> None:
         raise PipelineAssertionError(message)
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(Record):
     """Everything computed for one member of the family."""
 
     n: int
     p: int
     q: int
     homology_factors: tuple[int, ...]
-    homology_images: Optional[tuple[int, ...]]
-    minor: Optional[GroupRingElem]
-    tau: Optional[TorsionVector]
-    min_tau: Optional[Fraction]
-    d_values: Optional[dict[int, Fraction]]
-    min_d: Optional[Fraction]
+    homology_images: tuple[int, ...] | None
+    minor: GroupRingElem | None
+    tau: TorsionVector | None
+    min_tau: Fraction | None
+    d_values: dict[int, Fraction] | None
+    min_d: Fraction | None
     determinant: int
     signature: int
-    verdict: Optional[QAVerdict]
+    verdict: QAVerdict | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -72,21 +71,20 @@ class FamilyRecord:
         }
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Record):
     offset: int                       # the family K_{-10n-j, 10n+j+3}
     epsilon: str
     casson_walker: Fraction
     records: tuple[FamilyRecord, ...]
-    c_bound: Optional[CBound]
-    delta: Optional[TorsionVector]    # tau_{n+1} - tau_n, when two or more taus exist
+    c_bound: CBound | None
+    delta: TorsionVector | None       # tau_{n+1} - tau_n, when two or more taus exist
 
     @property
     def affine(self) -> bool:
         return self.delta is not None
 
     @property
-    def delta_min(self) -> Optional[Fraction]:
+    def delta_min(self) -> Fraction | None:
         return self.delta.min_value() if self.delta else None
 
     def to_json_dict(self) -> dict:
@@ -130,7 +128,7 @@ def family_casson_walker(offset: int) -> Fraction:
 
 def family_member(offset: int, n: int, casson_walker: Fraction,
                   epsilon: str = DEFAULT_EPSILON,
-                  bound: Optional[CBound] = None) -> FamilyRecord:
+                  bound: CBound | None = None) -> FamilyRecord:
     """Compute and check the member K_{-10n-j, 10n+j+3} of family j = offset.
 
     The member's white graph holds each twist region as one weighted edge,
@@ -210,7 +208,7 @@ def _affine_step(taus: dict[int, TorsionVector]) -> TorsionVector:
 
 def run_family(offset: int, n_values: Sequence[int],
                epsilon: str = DEFAULT_EPSILON,
-               catalog: Optional[Sequence[GramLattice]] = None) -> PipelineReport:
+               catalog: Sequence[GramLattice] | None = None) -> PipelineReport:
     """Compute the full obstruction pipeline for K_{-10n-j, 10n+j+3}: every
     member through `family_member`, then the affine growth of the torsion
     in n whenever two or more members have one."""

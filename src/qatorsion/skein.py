@@ -18,8 +18,8 @@ state sum exists only as a test oracle.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .diagrams import DiagramError, LinkDiagram
 from .intmat import _symmetric_bareiss
@@ -226,7 +226,7 @@ def _rational_sqrt(x: Fraction):
 # ---------------------------------------------------------------------------
 
 def _goeritz_data(diagram: LinkDiagram, white: bool = True,
-                  multiplicity: Optional[Sequence[int]] = None):
+                  multiplicity: Sequence[int] | None = None):
     """Goeritz matrix for the chosen colour class, plus the correction term
     of the spanning-surface signature formula; crossing ci counts
     multiplicity[ci] times (default once).
@@ -278,7 +278,7 @@ def _goeritz_data(diagram: LinkDiagram, white: bool = True,
 
 
 def goeritz_invariants(diagram: LinkDiagram,
-                       multiplicity: Optional[Sequence[int]] = None
+                       multiplicity: Sequence[int] | None = None
                        ) -> tuple[list[list[int]], int, int]:
     """(Goeritz matrix, determinant, signature) of the diagram.
 

@@ -18,11 +18,11 @@ under the whole unit action tau -> +-t^k tau.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
                         phi_at_divisor, phi_reconstruct_divisors)
+from .records import Record
 from .tokens import parse_int
 
 DEFAULT_EPSILON = "default"
@@ -33,8 +33,7 @@ class TorsionPreconditionError(ValueError):
     torsion formula needs it invertible."""
 
 
-@dataclass(frozen=True)
-class TorsionVector:
+class TorsionVector(Record):
     """tau as a zero-sum vector of exact rationals indexed by Z/N.
 
     values[k] is the coefficient of t^k, i.e. the torsion at the Spin^c

@@ -519,8 +519,8 @@ def det_laplace(m) -> int:
 
 # ---------------------------------------------------------------------------
 # Definite lattices by the pairwise dedupe: every scanned form is tested for
-# isometry against every class found so far, and each test enumerates the
-# other lattice's short vectors afresh
+# isometry against every class found so far, each class's short vectors
+# enumerated once (again only for a larger norm) and grouped by norm
 # ---------------------------------------------------------------------------
 
 _PAIRWISE_PRODUCT_BOUND = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
@@ -533,7 +533,7 @@ def pairwise_definite_lattices(rank: int, disc: int) -> list:
     if rank == 0:
         return [GramLattice.rank_zero()] if disc == 1 else []
     bound = _PAIRWISE_PRODUCT_BOUND[rank] * disc
-    found: list = []
+    found: list[_NormShells] = []
 
     def diag_scan(i, diag, prod):
         if i == rank:
@@ -555,7 +555,7 @@ def pairwise_definite_lattices(rank: int, disc: int) -> list:
                         for t in range(1, rank + 1)):
                     neg = GramLattice.from_rows([[-x for x in row] for row in mat])
                     if not any(pairwise_isometric(neg, f) for f in found):
-                        found.append(neg)
+                        found.append(_NormShells(neg))
                 return
             i, j = positions[k]
             half = min(diag[i], diag[j]) // 2
@@ -565,35 +565,53 @@ def pairwise_definite_lattices(rank: int, disc: int) -> list:
             mat[i][j] = mat[j][i] = 0
 
         fill(0)
-    return sorted(found, key=lambda lat: lat.gram)
+    return sorted((f.lattice for f in found), key=lambda lat: lat.gram)
 
 
-def pairwise_isometric(a, b) -> bool:
+class _NormShells:
+    """A lattice's nonzero vectors v up to some norm of the positive form
+    B = -G, grouped by norm, each paired with its image B v; enumerated
+    again only when a caller asks for a larger norm."""
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+        self.form = [[-x for x in row] for row in lattice.gram]
+        self.det = abs(det_laplace(lattice.gram))
+        self.radius = -1
+        self.by_norm: dict[int, list] = {}
+
+    def up_to(self, radius: int) -> dict[int, list]:
+        if radius > self.radius:
+            self.radius, self.by_norm = radius, {}
+            for v in fraction_enumerate_in_ellipsoid(self.form, Fraction(radius)):
+                if any(v):
+                    image = tuple(_dot(row, v) for row in self.form)
+                    self.by_norm.setdefault(_dot(v, image), []).append((v, image))
+        return self.by_norm
+
+
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def pairwise_isometric(a, b: _NormShells) -> bool:
     """Match a's basis to b's vectors of equal norms and products, drawing
-    candidates from every nonzero vector of b up to a's largest norm."""
+    candidates from b's vectors of each basis vector's norm."""
     r = a.rank
-    if r != b.rank or abs(det_laplace(a.gram)) != abs(det_laplace(b.gram)):
+    if r != b.lattice.rank or abs(det_laplace(a.gram)) != b.det:
         return False
     if r == 0:
         return True
     pos_a = [[-x for x in row] for row in a.gram]
-    pos_b = [[-x for x in row] for row in b.gram]
-    radius = max(pos_a[i][i] for i in range(r))
-    candidates = [v for v in fraction_enumerate_in_ellipsoid(pos_b, Fraction(radius))
-                  if any(v)]
-
-    def q_b(u, v):
-        return sum(u[i] * pos_b[i][j] * v[j] for i in range(r) for j in range(r))
-
-    chosen: list = []
+    by_norm = b.up_to(max(pos_a[i][i] for i in range(r)))
+    chosen: list = []  # (v, B v) for the basis vectors matched so far
 
     def extend(k):
         if k == r:
-            return abs(det_laplace(chosen)) == 1
-        for v in candidates:
-            if q_b(v, v) == pos_a[k][k] and all(
-                    q_b(v, chosen[i]) == pos_a[k][i] for i in range(k)):
-                chosen.append(v)
+            return abs(det_laplace([v for v, _image in chosen])) == 1
+        for v, image in by_norm.get(pos_a[k][k], ()):
+            if all(_dot(v, chosen[i][1]) == pos_a[k][i] for i in range(k)):
+                chosen.append((v, image))
                 if extend(k + 1):
                     return True
                 chosen.pop()
