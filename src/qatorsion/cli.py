@@ -64,19 +64,20 @@ def _load_diagram(args) -> LinkDiagram:
     return white_graph_diagram(graph)
 
 
-def _load_catalog(args) -> list[GramLattice]:
-    if getattr(args, "catalog", None):
+def _load_catalog(args, det: int = 25) -> list[GramLattice]:
+    """The lattices of the --catalog file, else the generated catalog of
+    determinant det."""
+    if args.catalog:
         with open(args.catalog) as fh:
             return catalog_from_json(fh.read())
-    return build_catalog(25)
+    return build_catalog(det)
 
 
 def _member(args, bound=None) -> tuple[Fraction, FamilyRecord]:
     """Casson-Walker invariant and checked record of the n-th base-family
     member."""
     lam = family_casson_walker(0)
-    epsilon = getattr(args, "epsilon", DEFAULT_EPSILON)
-    return lam, family_member(0, args.n, lam, epsilon, bound)
+    return lam, family_member(0, args.n, lam, bound)
 
 
 @functools.cache
@@ -96,7 +97,6 @@ def _parser() -> _Parser:
 
     p_torsion = sub.add_parser("torsion", parents=[common], help="torsion vector of the n-th cover")
     p_torsion.add_argument("--n", type=_int_option, required=True)
-    p_torsion.add_argument("--epsilon", default=DEFAULT_EPSILON)
 
     p_minor = sub.add_parser("minor", parents=[common], help="abelianized (4,4) Fox minor")
     p_minor.add_argument("--n", type=_int_option, required=True)
@@ -118,7 +118,6 @@ def _parser() -> _Parser:
 
     p_dinv = sub.add_parser("dinv", parents=[common], help="correction terms of the n-th cover")
     p_dinv.add_argument("--n", type=_int_option, required=True)
-    p_dinv.add_argument("--epsilon", default=DEFAULT_EPSILON)
 
     p_mlat = sub.add_parser("mlattice", parents=[common], help="m invariant of a lattice")
     p_mlat.add_argument("--gram", required=True, help="JSON file with a Gram matrix")
@@ -130,12 +129,10 @@ def _parser() -> _Parser:
     p_verdict = sub.add_parser("verdict", parents=[common], help="obstruction verdict for the n-th cover")
     p_verdict.add_argument("--n", type=_int_option, required=True)
     p_verdict.add_argument("--catalog", help="catalog JSON (default: generate rank <= 4)")
-    p_verdict.add_argument("--epsilon", default=DEFAULT_EPSILON)
 
     p_family = sub.add_parser("family", parents=[common], help="full pipeline over a range of n")
     p_family.add_argument("--j", type=_int_option, default=0)
     p_family.add_argument("--nmax", type=_int_option, required=True)
-    p_family.add_argument("--epsilon", default=DEFAULT_EPSILON)
     p_family.add_argument("--catalog")
 
     p_cat = sub.add_parser("catalog", parents=[common], help="write the generated lattice catalog")
@@ -207,7 +204,7 @@ def _dispatch(args) -> int:
         lam, record = _member(args)
         d = record.d_values
         payload = {"N": record.tau.modulus, "lambda": str(lam),
-                   "epsilon": record.tau.unit_ambiguity,
+                   "epsilon": DEFAULT_EPSILON,
                    "d": {str(k): str(v) for k, v in d.items()},
                    "note": "defined up to the torsion unit action"}
         text = "\n".join(f"t^{k}: {v}" for k, v in d.items())
@@ -219,9 +216,7 @@ def _dispatch(args) -> int:
         _emit(args, {"rank": lat.rank, "disc": lat.disc, "m": str(value)},
               str(value))
     elif args.command == "cbound":
-        catalog = (_load_catalog(args) if args.det == 25 or args.catalog
-                   else build_catalog(args.det))
-        bound = c_bound(args.det, catalog)
+        bound = c_bound(args.det, _load_catalog(args, args.det))
         word = "complete" if bound.complete else "incomplete"
         _emit(args, bound.to_json_dict(), f"{bound.value} ({word})")
     elif args.command == "verdict":
@@ -232,12 +227,8 @@ def _dispatch(args) -> int:
             text += " [" + "; ".join(verdict.conditions_unmet) + "]"
         _emit(args, verdict.to_json_dict(), text)
     elif args.command == "family":
-        catalog = None
-        if args.catalog:
-            with open(args.catalog) as fh:
-                catalog = catalog_from_json(fh.read())
-        report = run_family(args.j, range(0, args.nmax + 1), args.epsilon,
-                            catalog=catalog)
+        catalog = _load_catalog(args) if args.catalog else None
+        report = run_family(args.j, range(0, args.nmax + 1), catalog=catalog)
         if args.format == "json":
             print(report.to_json())
         else:

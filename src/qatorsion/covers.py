@@ -344,7 +344,7 @@ def abelianized_minor(cover: BranchedCoverPresentation, r: int, s: int
 # The closed form the twist-family minor must match
 # ---------------------------------------------------------------------------
 
-def kanenobu_minor_closed_form(n: int, modulus: int = 25) -> GroupRingElem:
+def kanenobu_minor_closed_form(n: int) -> GroupRingElem:
     """Closed form of the (4,4) minor for the knot K_{-10n,10n+3}:
 
         -n*sigma*(1 + t + t^3) - 1 + t^2 - t^3 - t^8 + t^9 - t^11 + t^12
@@ -357,9 +357,9 @@ def kanenobu_minor_closed_form(n: int, modulus: int = 25) -> GroupRingElem:
     relator matrix it is derived from; only the linearity in n and the
     non-constancy matter downstream, but the tests pin the exact vector.)
     """
-    sigma = GroupRingElem.from_terms(modulus, [(5 * k, 2) for k in range(5)])
-    factor = GroupRingElem.from_terms(modulus, [(0, 1), (1, 1), (3, 1)])
-    const = GroupRingElem.from_terms(modulus, [
+    sigma = GroupRingElem.from_terms(25, [(5 * k, 2) for k in range(5)])
+    factor = GroupRingElem.from_terms(25, [(0, 1), (1, 1), (3, 1)])
+    const = GroupRingElem.from_terms(25, [
         (0, -1), (2, 1), (3, -1), (8, -1), (9, 1), (11, -1), (12, 1),
         (13, -1), (15, 1), (16, -1), (20, -1), (21, 1), (23, -1), (24, 1)])
     return sigma.scale(-n) * factor + const

@@ -203,10 +203,6 @@ class CyclotomicNumber:
     def __neg__(self) -> "CyclotomicNumber":
         return CyclotomicNumber(self.conductor, [-a for a in self.coords])
 
-    def scale(self, r) -> "CyclotomicNumber":
-        r = _as_fraction(r)
-        return CyclotomicNumber(self.conductor, [r * a for a in self.coords])
-
     def __mul__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
         self._check(other)
         deg = len(self.coords)

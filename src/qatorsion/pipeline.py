@@ -73,7 +73,6 @@ class FamilyRecord(Record):
 
 class PipelineReport(Record):
     offset: int                       # the family K_{-10n-j, 10n+j+3}
-    epsilon: str
     casson_walker: Fraction
     records: tuple[FamilyRecord, ...]
     c_bound: CBound | None
@@ -92,7 +91,7 @@ class PipelineReport(Record):
             "family_offset": self.offset,
             "p_of_n": f"-10n-{self.offset}" if self.offset else "-10n",
             "q_of_n": f"10n+{self.offset + 3}",
-            "epsilon": self.epsilon,
+            "epsilon": DEFAULT_EPSILON,
             "casson_walker": str(self.casson_walker),
             "c_bound": self.c_bound.to_json_dict() if self.c_bound else None,
             "affine_torsion_growth": self.affine,
@@ -127,7 +126,6 @@ def family_casson_walker(offset: int) -> Fraction:
 
 
 def family_member(offset: int, n: int, casson_walker: Fraction,
-                  epsilon: str = DEFAULT_EPSILON,
                   bound: CBound | None = None) -> FamilyRecord:
     """Compute and check the member K_{-10n-j, 10n+j+3} of family j = offset.
 
@@ -163,8 +161,7 @@ def family_member(offset: int, n: int, casson_walker: Fraction,
             _require(minor == kanenobu_minor_closed_form(n),
                      "abelianized (4,4) minor disagrees with the closed form "
                      "-n*sigma*(1+t+t^3) - 1 + t^2 - ... + t^24")
-        tau = torsion_from_minor(minor, cover.g_classes[3], cover.h_classes[3],
-                                 epsilon)
+        tau = torsion_from_minor(minor, cover.g_classes[3], cover.h_classes[3])
         dvals = d_invariants(tau, casson_walker)
         if bound is not None:
             verdict = qa_verdict(list(dvals.values()), 25, bound,
@@ -194,8 +191,7 @@ def _affine_step(taus: dict[int, TorsionVector]) -> TorsionVector:
     n0, n1 = ns[0], ns[1]
     base = taus[n0]
     delta = TorsionVector(base.modulus,
-                          tuple(v / (n1 - n0) for v in (taus[n1] - base).values),
-                          taus[n1].unit_ambiguity)
+                          tuple(v / (n1 - n0) for v in (taus[n1] - base).values))
     _require(all(taus[m].values == tuple(t0 + (m - n0) * d
                                          for t0, d in zip(base.values, delta.values))
                  for m in ns),
@@ -207,7 +203,6 @@ def _affine_step(taus: dict[int, TorsionVector]) -> TorsionVector:
 
 
 def run_family(offset: int, n_values: Sequence[int],
-               epsilon: str = DEFAULT_EPSILON,
                catalog: Sequence[GramLattice] | None = None) -> PipelineReport:
     """Compute the full obstruction pipeline for K_{-10n-j, 10n+j+3}: every
     member through `family_member`, then the affine growth of the torsion
@@ -219,9 +214,8 @@ def run_family(offset: int, n_values: Sequence[int],
         raise ValueError("need a nonempty range of n >= 0")
     lam = family_casson_walker(offset)
     bound = c_bound(25, catalog) if catalog is not None else None
-    records = tuple(family_member(offset, n, lam, epsilon, bound)
-                    for n in n_values)
+    records = tuple(family_member(offset, n, lam, bound) for n in n_values)
     taus = {r.n: r.tau for r in records if r.tau is not None}
-    return PipelineReport(offset=offset, epsilon=epsilon, casson_walker=lam,
-                          records=records, c_bound=bound,
+    return PipelineReport(offset=offset, casson_walker=lam, records=records,
+                          c_bound=bound,
                           delta=_affine_step(taus) if len(taus) >= 2 else None)

@@ -194,31 +194,13 @@ def jones_polynomial(diagram: LinkDiagram,
 
 
 def jones_derivative_at(v: JonesPolynomial, t0) -> Fraction:
-    """Exact formal derivative of V in t, evaluated at a nonzero rational."""
+    """Exact formal derivative of V in t, evaluated at a nonzero rational.
+    A V with half-integer exponents (a link with an even number of
+    components) raises ValueError."""
     t0 = Fraction(t0)
     if t0 == 0:
         raise ZeroDivisionError("evaluation point must be nonzero")
-    if v.is_integral():
-        return v.t_polynomial().derivative().evaluate(t0)
-    if t0 < 0:
-        raise ValueError("half-integer exponents cannot be evaluated at "
-                         "negative arguments; links with an even number "
-                         "of components are rejected here")
-    root = _rational_sqrt(t0)
-    if root is None:
-        raise ValueError(f"half-integer exponents need a rational sqrt of {t0}")
-    # dV/dt = (dV/du) / (2u) at u = sqrt(t0)
-    du = v.upoly.derivative().evaluate(root)
-    return du / (2 * root)
-
-
-def _rational_sqrt(x: Fraction):
-    from math import isqrt
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    return v.t_polynomial().derivative().evaluate(t0)
 
 
 # ---------------------------------------------------------------------------

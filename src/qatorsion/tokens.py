@@ -1,8 +1,8 @@
 """Integer tokens of the text inputs.
 
-PD codes, presentations, the `--epsilon` override and the integer options
-of the command line spell integers in ASCII digits only, with a leading
-sign only where a sign is allowed.  Python's `int()`, `str.isdigit()` and
+PD codes, presentations and the integer options of the command line
+spell integers in ASCII digits only, with a leading sign only where a
+sign is allowed.  Python's `int()`, `str.isdigit()` and
 the regular expression `\\d` also take other digit scripts, `_` separators
 and surrounding spaces, so every text parser checks its integers here.
 """

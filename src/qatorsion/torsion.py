@@ -9,10 +9,10 @@ abelianized Fox minor D via its character components:
 
 for every divisor d > 1 of N, where g and h are the homology classes of
 the distinguished dual curves.  The units eps_d are not determined by this
-computation; every reported vector carries a machine-readable record of
-the convention used, and the headline conclusions (affine growth in the
-twist parameter, divergence of the minimum; see `pipeline`) are invariant
-under the whole unit action tau -> +-t^k tau.
+computation.  The package uses one convention, eps_d = 1, which every
+report names as "epsilon": "default"; the headline conclusions (affine
+growth in the twist parameter, divergence of the minimum; see `pipeline`)
+are invariant under the whole unit action tau -> +-t^k tau.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from fractions import Fraction
 from .groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
                         phi_at_divisor, phi_reconstruct_divisors)
 from .records import Record
-from .tokens import parse_int
 
 DEFAULT_EPSILON = "default"
 
@@ -37,14 +36,13 @@ class TorsionVector(Record):
     """tau as a zero-sum vector of exact rationals indexed by Z/N.
 
     values[k] is the coefficient of t^k, i.e. the torsion at the Spin^c
-    structure labelled t^k under the fixed identification with H.
-    unit_ambiguity records the epsilon convention the vector was computed
-    with; all values are only pinned up to the global unit action.
+    structure labelled t^k under the fixed identification with H.  The
+    vector is computed with the default unit convention; all values are
+    only pinned up to the global unit action.
     """
 
     modulus: int
     values: tuple[Fraction, ...]
-    unit_ambiguity: str = DEFAULT_EPSILON
 
     def __post_init__(self):
         if len(self.values) != self.modulus:
@@ -52,31 +50,17 @@ class TorsionVector(Record):
         if sum(self.values, Fraction(0)) != 0:
             raise ValueError("torsion vectors must have zero coefficient sum")
 
-    @classmethod
-    def from_group_ring(cls, x: GroupRingElem,
-                        unit_ambiguity: str = DEFAULT_EPSILON) -> "TorsionVector":
-        return cls(x.modulus, x.coeffs, unit_ambiguity)
-
     def as_group_ring(self) -> GroupRingElem:
         return GroupRingElem(self.modulus, self.values)
 
     def min_value(self) -> Fraction:
         return min(self.values)
 
-    def apply_unit(self, sign: int, shift: int) -> "TorsionVector":
-        """The global unit action tau -> sign * t^shift * tau."""
-        if sign not in (1, -1):
-            raise ValueError("unit sign must be +-1")
-        n = self.modulus
-        vals = tuple(sign * self.values[(k - shift) % n] for k in range(n))
-        return TorsionVector(n, vals, f"{self.unit_ambiguity}*({sign:+d})t^{shift % n}")
-
     def __sub__(self, other: "TorsionVector") -> "TorsionVector":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
         return TorsionVector(self.modulus,
-                             tuple(a - b for a, b in zip(self.values, other.values)),
-                             self.unit_ambiguity)
+                             tuple(a - b for a, b in zip(self.values, other.values)))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -85,7 +69,7 @@ class TorsionVector(Record):
         return {
             "N": self.modulus,
             "tau": {str(k): str(v) for k, v in enumerate(self.values)},
-            "epsilon": self.unit_ambiguity,
+            "epsilon": DEFAULT_EPSILON,
             "note": "defined up to unit",
         }
 
@@ -94,52 +78,20 @@ class TorsionVector(Record):
 
 
 # ---------------------------------------------------------------------------
-# Epsilon conventions
-# ---------------------------------------------------------------------------
-
-def parse_epsilon(text: str) -> tuple[int, int]:
-    """Parse the unit override '-t^3', '+t^0', 't^12', '-1', or 'default'.
-
-    Returns (sign, shift); 'default' means (+1, 0).  The override acts as
-    the global unit +-t^k, i.e. component d is multiplied by
-    sign * zeta_d^k.
-    """
-    s = text.strip()
-    if s in (DEFAULT_EPSILON, "", "+1", "1"):
-        return (1, 0)
-    if s == "-1":
-        return (-1, 0)
-    sign = 1
-    if s.startswith(("+", "-")):
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-    if s == "1":
-        return (sign, 0)
-    if not s.startswith("t"):
-        raise ValueError(f"cannot parse unit override {text!r}")
-    s = s[1:]
-    if s == "":
-        return (sign, 1)
-    if not s.startswith("^"):
-        raise ValueError(f"cannot parse unit override {text!r}")
-    return (sign, parse_int(s[1:], f"unit override {text!r}", signed=True))
-
-
-# ---------------------------------------------------------------------------
 # Torsion from a minor
 # ---------------------------------------------------------------------------
 
-def torsion_from_minor(minor: GroupRingElem, g_class: int, h_class: int,
-                       epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
+def torsion_from_minor(minor: GroupRingElem, g_class: int, h_class: int
+                       ) -> TorsionVector:
     """Build the torsion vector from one abelianized Fox minor.
 
     g_class and h_class are the exponents of the dual-curve homology
     classes (elements of Z/N written as powers of t).  Component d of the
-    result is eps_d (zeta_d^g - 1)^-1 (zeta_d^h - 1)^-1 phi_d(minor) for
-    every divisor d > 1 of N; the trivial component is 0.
+    result is (zeta_d^g - 1)^-1 (zeta_d^h - 1)^-1 phi_d(minor) for every
+    divisor d > 1 of N, with the default unit eps_d = 1; the trivial
+    component is 0.
     """
     n = minor.modulus
-    sign, shift = parse_epsilon(epsilon)
     components: dict[int, CyclotomicNumber] = {}
     for d in divisor_levels(n):
         if d == 1:
@@ -154,12 +106,8 @@ def torsion_from_minor(minor: GroupRingElem, g_class: int, h_class: int,
         one = CyclotomicNumber.one(d)
         fg = CyclotomicNumber.zeta_power(d, g_class) - one
         fh = CyclotomicNumber.zeta_power(d, h_class) - one
-        val = fg.inv() * fh.inv() * phi_at_divisor(minor, d)
-        unit = CyclotomicNumber.zeta_power(d, shift).scale(sign)
-        components[d] = unit * val
-    x = phi_reconstruct_divisors(components, n)
-    label = DEFAULT_EPSILON if (sign, shift % n) == (1, 0) else f"({sign:+d})t^{shift % n}"
-    return TorsionVector.from_group_ring(x, label)
+        components[d] = fg.inv() * fh.inv() * phi_at_divisor(minor, d)
+    return TorsionVector(n, phi_reconstruct_divisors(components, n).coeffs)
 
 
 # ---------------------------------------------------------------------------

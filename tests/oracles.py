@@ -31,7 +31,7 @@ from qatorsion.lattice import GramLattice, LatticeError
 from qatorsion.laurent import Laurent
 from qatorsion.pipeline import family_casson_walker, family_member, run_family
 from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP, _goeritz_data
-from qatorsion.torsion import DEFAULT_EPSILON, TorsionVector, torsion_from_minor
+from qatorsion.torsion import TorsionVector, torsion_from_minor
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +553,11 @@ def pairwise_definite_lattices(rank: int, disc: int) -> list:
                 if det_laplace(mat) == disc and all(
                         det_laplace([row[:t] for row in mat[:t]]) > 0
                         for t in range(1, rank + 1)):
-                    neg = GramLattice.from_rows([[-x for x in row] for row in mat])
-                    if not any(pairwise_isometric(neg, f) for f in found):
-                        found.append(_NormShells(neg))
+                    # |det| once per scanned form, not once per class
+                    cand = _NormShells(GramLattice.from_rows(
+                        [[-x for x in row] for row in mat]))
+                    if not any(pairwise_isometric(cand, f) for f in found):
+                        found.append(cand)
                 return
             i, j = positions[k]
             half = min(diag[i], diag[j]) // 2
@@ -594,15 +596,15 @@ def _dot(u, v) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def pairwise_isometric(a, b: _NormShells) -> bool:
+def pairwise_isometric(a: _NormShells, b: _NormShells) -> bool:
     """Match a's basis to b's vectors of equal norms and products, drawing
     candidates from b's vectors of each basis vector's norm."""
-    r = a.rank
-    if r != b.lattice.rank or abs(det_laplace(a.gram)) != b.det:
+    r = a.lattice.rank
+    if r != b.lattice.rank or a.det != b.det:
         return False
     if r == 0:
         return True
-    pos_a = [[-x for x in row] for row in a.gram]
+    pos_a = a.form
     by_norm = b.up_to(max(pos_a[i][i] for i in range(r)))
     chosen: list = []  # (v, B v) for the basis vectors matched so far
 
@@ -1193,12 +1195,12 @@ def lens_presentation(p: int, q: int = 1) -> BranchedCoverPresentation:
                                      g_classes=(1,), h_classes=(q % p,))
 
 
-def torsion_lens(p: int, q: int, epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
+def torsion_lens(p: int, q: int) -> TorsionVector:
     """Torsion of the lens space L(p, q) from its genus-one presentation:
     the minor is the empty determinant 1 and the dual classes are t, t^q."""
     cover = lens_presentation(p, q)
     minor = abelianized_minor(cover, 1, 1)
-    return torsion_from_minor(minor, 1, q, epsilon)
+    return torsion_from_minor(minor, 1, q)
 
 
 def d_lens_oracle(p: int, q: int) -> list[Fraction]:
@@ -1335,16 +1337,25 @@ def transpose(a):
 # Torsion growth over the base family
 # ---------------------------------------------------------------------------
 
-def torsion_kanenobu(n: int, epsilon: str = DEFAULT_EPSILON) -> TorsionVector:
+def torsion_kanenobu(n: int) -> TorsionVector:
     """Torsion of the branched double cover of K_{-10n,10n+3} via the (4,4)
     minor, with g = h = t."""
-    return family_member(0, n, family_casson_walker(0), epsilon).tau
+    return family_member(0, n, family_casson_walker(0)).tau
+
+
+def unit_action(tau: TorsionVector, sign: int, shift: int) -> TorsionVector:
+    """The global unit action tau -> sign * t^shift * tau: coefficient k of
+    the result is sign * tau(t^(k - shift))."""
+    if sign not in (1, -1):
+        raise ValueError("unit sign must be +-1")
+    n = tau.modulus
+    return TorsionVector(n, tuple(sign * tau.values[(k - shift) % n]
+                                  for k in range(n)))
 
 
 @dataclass(frozen=True)
 class TorsionGrowthReport:
     n_max: int
-    epsilon: str
     min_values: tuple[Fraction, ...]     # min coefficient of tau_n, n = 0..n_max
     delta: TorsionVector                 # tau_{n+1} - tau_n (constant in n)
     affine: bool                         # tau_n == tau_0 + n*delta exactly
@@ -1354,7 +1365,6 @@ class TorsionGrowthReport:
     def to_json_dict(self) -> dict:
         return {
             "n_max": self.n_max,
-            "epsilon": self.epsilon,
             "min_tau": [str(v) for v in self.min_values],
             "delta": {str(k): str(v) for k, v in enumerate(self.delta.values)},
             "affine": self.affine,
@@ -1363,14 +1373,14 @@ class TorsionGrowthReport:
         }
 
 
-def torsion_growth(n_max: int, epsilon: str = DEFAULT_EPSILON) -> TorsionGrowthReport:
+def torsion_growth(n_max: int) -> TorsionGrowthReport:
     """Check tau_n = tau_0 + n * delta exactly over the base family
     n = 0..n_max and report the minimum coefficients; delta has zero sum and
     a negative minimum, so the minimum of tau_n eventually decreases without
     bound."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 to see the growth")
-    report = run_family(0, range(n_max + 1), epsilon)
+    report = run_family(0, range(n_max + 1))
     mins = tuple(r.min_tau for r in report.records)
     decreasing_from = None
     for start in range(n_max):
@@ -1378,6 +1388,6 @@ def torsion_growth(n_max: int, epsilon: str = DEFAULT_EPSILON) -> TorsionGrowthR
             decreasing_from = start
             break
     return TorsionGrowthReport(
-        n_max=n_max, epsilon=epsilon, min_values=mins, delta=report.delta,
+        n_max=n_max, min_values=mins, delta=report.delta,
         affine=report.affine, delta_min=report.delta_min,
         decreasing_from=decreasing_from)

@@ -291,14 +291,18 @@ def test_cli_unknown_command(capsys):
     assert exc.value.code == 1
 
 
-def test_cli_epsilon_override(capsys):
-    code, out, _ = run_cli(capsys, "--format", "json", "torsion", "--n", "0",
-                           "--epsilon=-t^3")
-    assert code == 0
-    data = json.loads(out)
-    from oracles import torsion_kanenobu
-    want = torsion_kanenobu(0).apply_unit(-1, 3)
-    assert [Fraction(data["tau"][str(k)]) for k in range(25)] == list(want.values)
+@pytest.mark.parametrize("argv", [["torsion", "--n", "0"], ["dinv", "--n", "0"],
+                                  ["verdict", "--n", "0"], ["family", "--nmax", "0"]],
+                         ids=["torsion", "dinv", "verdict", "family"])
+def test_cli_has_no_unit_override(capsys, argv):
+    # the torsion has one unit convention, named "default" in the JSON
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--epsilon=-t^3"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("usage: qatorsion")
+    assert "unrecognized arguments: --epsilon=-t^3" in err
 
 
 def test_cli_assertion_failure_exit_code(capsys, monkeypatch):
@@ -307,7 +311,7 @@ def test_cli_assertion_failure_exit_code(capsys, monkeypatch):
     from qatorsion.groupring import GroupRingElem
 
     monkeypatch.setattr(pipeline, "kanenobu_minor_closed_form",
-                        lambda n, modulus=25: GroupRingElem.zero(25))
+                        lambda n: GroupRingElem.zero(25))
     code = main(["family", "--j", "0", "--nmax", "2"])
     err = capsys.readouterr().err
     assert code == 2
@@ -418,7 +422,7 @@ def test_cli_pd_that_is_not_a_sphere_diagram_is_rejected(tmp_path, capsys, comma
 
 # Integers are ASCII digits: not other digit scripts (which int(), isdigit()
 # and \d accept), not 1_000 and not " 3" (which int() accepts).
-ARABIC_1, ARABIC_2, ARABIC_3 = "١", "٢", "٣"
+ARABIC_1, ARABIC_2 = "١", "٢"
 
 
 @pytest.mark.parametrize("text", [f"X[{ARABIC_1},{ARABIC_2},2,1]",
@@ -440,12 +444,6 @@ def test_cli_presentation_with_a_bad_integer_is_rejected(tmp_path, capsys, text)
     path = tmp_path / "bad.pres"
     path.write_text(text, encoding="utf-8")
     assert "ASCII digits" in _rejected(capsys, "homology", "--pres", str(path))
-
-
-@pytest.mark.parametrize("epsilon", ["t^1_000", "t^ 3", f"t^{ARABIC_3}", "t^", "-t^"])
-def test_cli_epsilon_with_a_bad_exponent_is_rejected(capsys, epsilon):
-    err = _rejected(capsys, "torsion", "--n", "1", f"--epsilon={epsilon}")
-    assert f"unit override {epsilon!r}" in err
 
 
 @pytest.mark.parametrize("value", [ARABIC_1, "1_0", " 1"])

@@ -58,7 +58,7 @@ def _records():
         verdict,
         tau,
         record,
-        PipelineReport(0, "default", Fraction(-12, 25), (record,), bound, None),
+        PipelineReport(0, Fraction(-12, 25), (record,), bound, None),
     ]
 
 
@@ -76,7 +76,7 @@ REPRS = [
     "obstruction_fires=True, unit_pinned=False, verdict='non-QA conditional', "
     "conditions_unmet=('x',))",
     "TorsionVector(modulus=3, values=(Fraction(1, 1), Fraction(-1, 2), "
-    "Fraction(-1, 2)), unit_ambiguity='default')",
+    "Fraction(-1, 2)))",
 ]
 
 
@@ -95,7 +95,7 @@ def test_records_are_frozen_and_compare_by_field():
     assert [repr(x) for x in records[:len(REPRS)]] == REPRS
     # a record nests the reprs of the records it holds
     report = records[-1]
-    assert repr(report) == (f"PipelineReport(offset=0, epsilon='default', "
+    assert repr(report) == (f"PipelineReport(offset=0, "
                             f"casson_walker=Fraction(-12, 25), "
                             f"records=({records[-2]!r},), c_bound={records[4]!r}, "
                             f"delta=None)")
@@ -113,8 +113,6 @@ def test_records_build_by_keyword_with_defaults():
     cover = BranchedCoverPresentation(x)
     assert (cover.factors, cover.g_classes, cover.h_classes) == (None, None, None)
     assert cover.modulus is None
-    tau = TorsionVector(1, (Fraction(0),))
-    assert tau.unit_ambiguity == "default"
     with pytest.raises(TypeError):
         Presentation(0)
     with pytest.raises(TypeError):

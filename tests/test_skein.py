@@ -199,15 +199,13 @@ def test_mullins_needs_nonzero_determinant():
         mullins_lambda(braid_closure([1, -1], 2))  # unlink, det 0
 
 
-def test_jones_derivative_handles_rational_sqrt_points():
+def test_jones_derivative_refuses_half_integer_exponents():
     from qatorsion.skein import JonesPolynomial
-    # V = t^(1/2): derivative at t = 4 is 1/(2*sqrt(4)) = 1/4
+    # V = t^(1/2), as for a link with an even number of components
     v = JonesPolynomial(Laurent({1: 1}))
-    assert jones_derivative_at(v, 4) == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        jones_derivative_at(v, 2)  # sqrt(2) is irrational
-    with pytest.raises(ValueError):
-        jones_derivative_at(v, -1)
+    for t0 in (4, 2, -1):
+        with pytest.raises(ValueError, match="half-integer exponents"):
+            jones_derivative_at(v, t0)
 
 
 def test_frozen_jones_of_the_base_member():

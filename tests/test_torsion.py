@@ -7,13 +7,12 @@ import pytest
 from qatorsion.covers import abelianized_minor, kanenobu_presentation
 from qatorsion.groupring import GroupRingElem
 from qatorsion.torsion import (DEFAULT_EPSILON, TorsionPreconditionError,
-                               TorsionVector, d_invariants, parse_epsilon,
-                               torsion_from_minor)
+                               TorsionVector, d_invariants, torsion_from_minor)
 
 from oracles import (d_lens_oracle, lens_casson_walker,
                      multiset_matches_up_to_unit, torsion_growth,
                      torsion_kanenobu, torsion_lens,
-                     torsion_linear_system_oracle)
+                     torsion_linear_system_oracle, unit_action)
 
 
 def test_zero_sum_normalisation():
@@ -84,7 +83,7 @@ def test_unit_covariance():
     base_delta = taus[1] - taus[0]
     for sign in (1, -1):
         for k in range(25):
-            shifted = [t.apply_unit(sign, k) for t in taus]
+            shifted = [unit_action(t, sign, k) for t in taus]
             deltas = [shifted[m + 1] - shifted[m] for m in range(3)]
             assert all(d.values == deltas[0].values for d in deltas)
             assert min(deltas[0].values) < 0
@@ -133,22 +132,6 @@ def test_lens_torsion_matches_d_recursion_up_to_unit():
             lam = lens_casson_walker(p, q)
             assert multiset_matches_up_to_unit(tau, lam, d_lens_oracle(p, q)) \
                 is not None, (p, q)
-
-
-def test_epsilon_parsing():
-    assert parse_epsilon("default") == (1, 0)
-    assert parse_epsilon("-1") == (-1, 0)
-    assert parse_epsilon("-t^3") == (-1, 3)
-    assert parse_epsilon("t^12") == (1, 12)
-    assert parse_epsilon("+t") == (1, 1)
-    with pytest.raises(ValueError):
-        parse_epsilon("q^2")
-
-
-def test_epsilon_override_is_the_unit_action():
-    tau = torsion_kanenobu(1)
-    tau_shift = torsion_kanenobu(1, "-t^7")
-    assert tau_shift.values == tau.apply_unit(-1, 7).values
 
 
 def test_json_shape():
