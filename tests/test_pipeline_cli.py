@@ -305,6 +305,15 @@ def test_cli_has_no_unit_override(capsys, argv):
     assert "unrecognized arguments: --epsilon=-t^3" in err
 
 
+@pytest.mark.parametrize("argv", [["torsion", "--n", "0"], ["dinv", "--n", "0"],
+                                  ["family", "--nmax", "0"]],
+                         ids=["torsion", "dinv", "family"])
+def test_cli_json_names_the_one_unit_convention(capsys, argv):
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert json.loads(out)["epsilon"] == "default"
+
+
 def test_cli_assertion_failure_exit_code(capsys, monkeypatch):
     # force an internal consistency failure and check the exit-status contract
     import qatorsion.pipeline as pipeline
@@ -485,6 +494,38 @@ def test_cli_catalog_that_is_a_bare_matrix_is_rejected(tmp_path, capsys):
                              "--catalog", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Gram objects" in err
+
+
+@pytest.mark.parametrize("argv", [["cbound", "--det", "25"], ["verdict", "--n", "0"],
+                                  ["family", "--nmax", "0"]],
+                         ids=["cbound", "verdict", "family"])
+def test_cli_catalog_file_errors_are_usage_errors(tmp_path, capsys, argv):
+    # the three commands that take --catalog read it through one loader
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, *argv, "--catalog", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "No such file" in err
+    bare = tmp_path / "catalog.json"
+    bare.write_text("[[-25]]")
+    code, out, err = run_cli(capsys, *argv, "--catalog", str(bare))
+    assert code == 1 and out == ""
+    assert err.strip() == "error: a catalog must be a JSON list of Gram objects"
+
+
+def test_cli_cbound_without_a_catalog_builds_the_one_of_its_determinant(tmp_path,
+                                                                       capsys):
+    code, out, _ = run_cli(capsys, "catalog", "--det", "5")
+    assert code == 0
+    path = tmp_path / "d5.json"
+    path.write_text(out)
+    code, built, _ = run_cli(capsys, "--format", "json", "cbound", "--det", "5")
+    assert code == 0
+    code, read, _ = run_cli(capsys, "--format", "json", "cbound", "--det", "5",
+                            "--catalog", str(path))
+    assert code == 0
+    assert built == read
+    assert json.loads(built) == {"disc": 5, "value": "-1", "complete": True,
+                                 "catalog_size": 8}
 
 
 def test_cli_cbound_needs_a_positive_determinant(capsys):
