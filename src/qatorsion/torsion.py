@@ -17,7 +17,6 @@ are invariant under the whole unit action tau -> +-t^k tau.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
@@ -72,9 +71,6 @@ class TorsionVector(Record):
             "epsilon": DEFAULT_EPSILON,
             "note": "defined up to unit",
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=None, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------
