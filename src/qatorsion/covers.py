@@ -19,7 +19,6 @@ an unexpected homology order (cross-check against the diagram determinant).
 
 from __future__ import annotations
 
-import json
 from math import gcd
 
 from .foxcalc import (Presentation, Relator, Run, abelianize_relator_derivative,
@@ -120,37 +119,6 @@ class WhiteGraph(Record):
             seen.add(v)
             stack.extend(adj[v] - seen)
         return all(v in seen for v, near in adj.items() if near or v != BOUNDARY)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": self.vertices,
-            "edges": [list(edge) for edge in self.edges],
-            "cyclic": [list(c) for c in self.cyclic],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WhiteGraph":
-        if not (isinstance(d, dict) and {"vertices", "edges", "cyclic"} <= set(d)):
-            raise ValueError("a white graph needs 'vertices', 'edges' and 'cyclic'")
-        edges, cyclic = d["edges"], d["cyclic"]
-        if not (type(d["vertices"]) is int and _is_int_rows(cyclic)
-                and _is_int_rows(edges, BOUNDARY)
-                and all(len(e) == 3 and e[2] != BOUNDARY for e in edges)):
-            raise ValueError("white graph fields must be an integer, "
-                             "[a, b, weight] edges and lists of end ids")
-        return cls(vertices=d["vertices"], edges=tuple(tuple(e) for e in edges),
-                   cyclic=tuple(tuple(c) for c in cyclic))
-
-    @classmethod
-    def from_json(cls, text: str) -> "WhiteGraph":
-        return cls.from_json_dict(json.loads(text))
-
-
-def _is_int_rows(rows, *allowed) -> bool:
-    """A list of lists whose entries are ints or one of `allowed`."""
-    return isinstance(rows, list) and all(
-        isinstance(row, list) and all(type(x) is int or x in allowed for x in row)
-        for row in rows)
 
 
 class BranchedCoverPresentation(Record):

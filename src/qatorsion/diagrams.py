@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 
-from .covers import BOUNDARY, WhiteGraph
+from .covers import BOUNDARY, WhiteGraph, kanenobu_white_graph
 from .tokens import UNSIGNED
 
 End = tuple[int, int]  # (crossing index, slot 0..3)
@@ -232,9 +232,6 @@ class LinkDiagram:
                 drain()
         return direction
 
-    def orientation(self) -> dict[int, tuple[End, End]]:
-        return self._orientation
-
     def components(self) -> list[list[int]]:
         """Arc cycles of the oriented components (PD components only)."""
         comps = []
@@ -265,22 +262,15 @@ class LinkDiagram:
     def writhe(self) -> int:
         return sum(self.crossing_sign(ci) for ci in range(len(self.crossings)))
 
-    # -- serialisation ------------------------------------------------------------
-
-    def to_text(self) -> str:
-        xs = ", ".join("X[%d,%d,%d,%d]" % c for c in self.crossings)
-        lines = [xs] if xs else []
-        for idx, comp in enumerate(self.components()):
-            lines.append(f"O[{idx}: " + " ".join(str(a) for a in comp) + "]")
-        for _ in range(self.free_loops):
-            lines.append("O[loop]")
-        return "\n".join(lines) + "\n"
+    # -- parsing ------------------------------------------------------------------
 
     @classmethod
     def from_text(cls, text: str) -> "LinkDiagram":
-        """Parse `to_text` output: X[a,b,c,d] entries and optional O[...]
-        orientation and free-loop entries, separated by commas and
-        whitespace.  Anything else is a DiagramError."""
+        """Parse PD text: X[a,b,c,d] crossing entries, O[k: a b ...]
+        entries that list one component's arcs in its direction of travel
+        (checked against the derived orientation) and O[loop] free loops,
+        separated by commas and whitespace.  Anything else is a
+        DiagramError."""
         end = _PD_TEXT.match(text).end()
         if end != len(text):
             raise DiagramError(f"malformed PD text at offset {end}: {text[end:end + 20]!r}")
@@ -453,7 +443,6 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
 def kanenobu_diagram(p: int, q: int) -> LinkDiagram:
     """Diagram of K_{p,q} with 8 + |p| + |q| crossings, rebuilt from its
     white graph."""
-    from .covers import kanenobu_white_graph
     return white_graph_diagram(kanenobu_white_graph(p, q))
 
 

@@ -38,8 +38,8 @@ def word(*letters: Letter) -> FreeWord:
     return tuple(letters)
 
 
-def gen(i: int, s: int = 1) -> FreeWord:
-    return word((i, s))
+def gen(i: int) -> FreeWord:
+    return word((i, 1))
 
 
 def wmul(*words: FreeWord) -> FreeWord:
@@ -53,9 +53,9 @@ def winv(w: FreeWord) -> FreeWord:
     return tuple((g, -s) for g, s in reversed(w))
 
 
-def relator(w: FreeWord, k: int = 1) -> Relator:
-    """The one-run relator w^k."""
-    return ((w, k),)
+def relator(w: FreeWord) -> Relator:
+    """The relator w as one run, (w, 1)."""
+    return ((w, 1),)
 
 
 def exponent_sums(r: Relator, gens: int) -> list[int]:

@@ -175,14 +175,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return self.coords[0]
-
     def _check(self, other: "CyclotomicNumber") -> None:
         if self.conductor != other.conductor:
             raise ValueError(
@@ -289,9 +281,9 @@ class GroupRingElem:
         return cls.t_power(n, 0)
 
     @classmethod
-    def t_power(cls, n: int, k: int, coeff=1) -> "GroupRingElem":
+    def t_power(cls, n: int, k: int) -> "GroupRingElem":
         c = [0] * n
-        c[k % n] = _as_exact(coeff)
+        c[k % n] = 1
         return cls(n, c)
 
     @classmethod
@@ -302,22 +294,7 @@ class GroupRingElem:
             c[k % n] += _as_exact(a)
         return cls(n, c)
 
-    @classmethod
-    def averaging_idempotent(cls, n: int) -> "GroupRingElem":
-        """(1/N) * sum of all group elements; the identity of the trivial
-        character summand."""
-        return cls(n, [Fraction(1, n)] * n)
-
     # -- queries -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def coefficient_sum(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
 
     def _check(self, other: "GroupRingElem") -> None:
         if self.modulus != other.modulus:
@@ -352,11 +329,6 @@ class GroupRingElem:
                     if b:
                         out[(i + j) % n] += a * b
         return GroupRingElem(n, out)
-
-    def shift(self, k: int) -> "GroupRingElem":
-        """Multiplication by t^k."""
-        n = self.modulus
-        return GroupRingElem(n, [self.coeffs[(i - k) % n] for i in range(n)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupRingElem)
@@ -394,10 +366,6 @@ class GroupRingElem:
 
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GroupRingElem":
-        return cls(int(d["modulus"]), [Fraction(s) for s in d["coeffs"]])
 
 
 # ---------------------------------------------------------------------------

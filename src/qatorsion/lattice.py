@@ -99,12 +99,6 @@ class GramLattice(Record):
     def rank_zero(cls) -> "GramLattice":
         return cls(())
 
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "GramLattice":
-        r = len(entries)
-        return cls.from_rows([[entries[i] if i == j else 0 for j in range(r)]
-                              for i in range(r)])
-
     @property
     def rank(self) -> int:
         return len(self.gram)

@@ -1,9 +1,9 @@
 """Integer-coefficient Laurent polynomials in one variable.
 
-Stored as exponent -> coefficient dicts; used for Alexander polynomials
-(variable t) and Kauffman brackets (variable A).  Jones polynomials of
-links need t^(1/2); those are handled by keeping exponents in half-units,
-see `skein.JonesPolynomial`.
+Stored as exponent -> coefficient dicts; used for Kauffman brackets
+(variable A) and Jones polynomials of knots (variable t).  Jones
+polynomials of links need t^(1/2); those are handled by keeping exponents
+in half-units, see `skein.JonesPolynomial`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class Laurent:
         return cls({0: 1})
 
     @classmethod
-    def term(cls, exponent: int, coeff: int = 1) -> "Laurent":
-        return cls({exponent: coeff})
+    def term(cls, exponent: int) -> "Laurent":
+        return cls({exponent: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -105,31 +105,10 @@ class Laurent:
             k >>= 1
         return out
 
-    def mirror(self) -> "Laurent":
-        """Substitute the variable by its inverse."""
-        out = Laurent.__new__(Laurent)
-        out.terms = {-e: c for e, c in self.terms.items()}
-        return out
-
     def min_exponent(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
         return min(self.terms)
-
-    def max_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.terms)
-
-    def content(self) -> int:
-        from math import gcd
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
-    def coefficient(self, e: int) -> int:
-        return self.terms.get(e, 0)
 
     def evaluate(self, x) -> Fraction:
         """Exact evaluation at a nonzero rational."""

@@ -213,9 +213,9 @@ def _goeritz_data(diagram: LinkDiagram, white: bool = True,
     of the spanning-surface signature formula; crossing ci counts
     multiplicity[ci] times (default once).
 
-    Returns (matrix, correction, region_faces).  The matrix is indexed by
-    the regions of that colour except the one containing the unbounded
-    face (for the white class) or an arbitrary fixed one (black class).
+    Returns (matrix, correction).  The matrix is indexed by the regions of
+    that colour except the one containing the unbounded face (for the
+    white class) or an arbitrary fixed one (black class).
     """
     colors = diagram.checkerboard_colors()
     target = 1 if white else 0
@@ -256,7 +256,7 @@ def _goeritz_data(diagram: LinkDiagram, white: bool = True,
             g[i][i] += m * eta
         if j is not None:
             g[j][j] += m * eta
-    return g, correction, index
+    return g, correction
 
 
 def goeritz_invariants(diagram: LinkDiagram,
@@ -277,7 +277,7 @@ def goeritz_invariants(diagram: LinkDiagram,
         raise DiagramError("Goeritz invariants need a connected diagram")
     if diagram.n_crossings == 0:
         return [], 1, 0
-    g, correction, _ = _goeritz_data(diagram, white=True, multiplicity=multiplicity)
+    g, correction = _goeritz_data(diagram, white=True, multiplicity=multiplicity)
     rows = _symmetric_bareiss(g)
     minors = [1] + [rows[k][k] for k in range(len(g))]
     sigma = sum((a * b > 0) - (a * b < 0) for a, b in zip(minors, minors[1:]))
@@ -288,12 +288,11 @@ def goeritz_invariants(diagram: LinkDiagram,
 # Casson-Walker invariant of the double branched cover
 # ---------------------------------------------------------------------------
 
-def mullins_lambda(diagram: LinkDiagram,
-                   budget: int = DEFAULT_CROSSING_BUDGET) -> Fraction:
+def mullins_lambda(diagram: LinkDiagram) -> Fraction:
     """lambda(double branched cover) = -V'(-1) / (6 V(-1)) + sigma / 4,
     normalised so the boundary of the negative definite E8 plumbing has
     lambda = -2.  Needs det != 0."""
-    v = jones_polynomial(diagram, budget=budget)
+    v = jones_polynomial(diagram)
     _g, det, sigma = goeritz_invariants(diagram)
     if det == 0:
         raise DiagramError("Casson-Walker formula needs nonzero determinant")

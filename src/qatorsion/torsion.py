@@ -49,9 +49,6 @@ class TorsionVector(Record):
         if sum(self.values, Fraction(0)) != 0:
             raise ValueError("torsion vectors must have zero coefficient sum")
 
-    def as_group_ring(self) -> GroupRingElem:
-        return GroupRingElem(self.modulus, self.values)
-
     def min_value(self) -> Fraction:
         return min(self.values)
 
@@ -60,9 +57,6 @@ class TorsionVector(Record):
             raise ValueError("modulus mismatch")
         return TorsionVector(self.modulus,
                              tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
     def to_json_dict(self) -> dict:
         return {

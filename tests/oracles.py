@@ -353,6 +353,17 @@ def char_cosets(lattice: GramLattice) -> list[CharCoset]:
 
 
 # ---------------------------------------------------------------------------
+# Diagonal lattices
+# ---------------------------------------------------------------------------
+
+def diagonal(entries: Sequence[int]) -> GramLattice:
+    """The orthogonal sum <e_1> + ... + <e_r>."""
+    r = len(entries)
+    return GramLattice.from_rows([[entries[i] if i == j else 0 for j in range(r)]
+                                  for i in range(r)])
+
+
+# ---------------------------------------------------------------------------
 # Brute-force characteristic-coset maxima (box scan)
 # ---------------------------------------------------------------------------
 
@@ -1030,15 +1041,16 @@ def alexander_polynomial(p: Presentation) -> Laurent:
 def _normalize_alexander(delta: Laurent) -> Laurent:
     if delta.is_zero():
         raise ArithmeticError("vanishing Alexander minor (is the diagram split?)")
-    g = delta.content()
+    g = gcd(*delta.terms.values())
     if g > 1:
         delta = Laurent({e: c // g for e, c in delta.terms.items()})
-    lo, hi = delta.min_exponent(), delta.max_exponent()
+    lo, hi = min(delta.terms), max(delta.terms)
     if (lo + hi) % 2 != 0:
         raise ArithmeticError("Alexander polynomial has odd span; not a knot group input")
     delta = delta.shift(-(lo + hi) // 2)
-    if delta.mirror() != delta:
-        if delta.mirror() == -delta:
+    mirror = Laurent({-e: c for e, c in delta.terms.items()})  # t -> 1/t
+    if mirror != delta:
+        if mirror == -delta:
             raise ArithmeticError("skew-symmetric Alexander minor; not a knot group input")
         raise ArithmeticError("Alexander minor failed to symmetrise")
     at1 = delta.evaluate(1)
@@ -1112,6 +1124,17 @@ def torus_knot_diagram(p: int = 3, q: int = 5) -> LinkDiagram:
     return braid_closure(word, p)
 
 
+def pd_text(diagram: LinkDiagram) -> str:
+    """The diagram as PD text: its X[...] crossings, one O[k: ...] line of
+    arcs per oriented component and one O[loop] per free loop."""
+    xs = ", ".join("X[%d,%d,%d,%d]" % c for c in diagram.crossings)
+    lines = [xs] if xs else []
+    for idx, comp in enumerate(diagram.components()):
+        lines.append(f"O[{idx}: " + " ".join(str(a) for a in comp) + "]")
+    lines += ["O[loop]"] * diagram.free_loops
+    return "\n".join(lines) + "\n"
+
+
 def figure_eight_diagram() -> LinkDiagram:
     return braid_closure([1, -2, 1, -2], 3)
 
@@ -1167,7 +1190,7 @@ def goeritz_invariants_black(diagram: LinkDiagram) -> tuple[int, int]:
     with the white computation."""
     if diagram.n_crossings == 0:
         return 1, 0
-    g, correction, _ = _goeritz_data(diagram, white=False)
+    g, correction = _goeritz_data(diagram, white=False)
     return abs(det_bareiss(g)), symmetric_signature(g) - correction
 
 
@@ -1188,7 +1211,7 @@ def lens_presentation(p: int, q: int = 1) -> BranchedCoverPresentation:
     dual-curve classes are g = t and h = t^q."""
     if p < 1:
         raise ValueError("need p >= 1")
-    pres = Presentation(gens=1, relators=(relator(gen(1), p),),
+    pres = Presentation(gens=1, relators=(((gen(1), p),),),
                         assignment=(1,), modulus=p)
     return BranchedCoverPresentation(presentation=pres,
                                      factors=(p,) if p > 1 else (),

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from qatorsion.covers import (BOUNDARY, HomologyNotCyclicError, WhiteGraph,
@@ -7,7 +5,7 @@ from qatorsion.covers import (BOUNDARY, HomologyNotCyclicError, WhiteGraph,
                               kanenobu_minor_closed_form,
                               kanenobu_presentation, kanenobu_white_graph,
                               white_graph_presentation)
-from qatorsion.foxcalc import gen, relator, winv, wmul
+from qatorsion.foxcalc import gen, winv, wmul
 from qatorsion.groupring import GroupRingElem
 from qatorsion.torsion import torsion_from_minor
 
@@ -99,7 +97,7 @@ def test_minor_trivial_component_value():
     # minor of the homology presentation matrix
     for n in range(11):
         minor = kanenobu_minor_closed_form(n)
-        assert minor.coefficient_sum() == -30 * n - 2
+        assert sum(minor.coeffs) == -30 * n - 2
 
 
 def test_minor_at_zero_twists_is_the_constant_part():
@@ -143,15 +141,6 @@ def test_minor_choice_consistency_up_to_global_unit():
                 else:
                     # the relating unit does not depend on n
                     assert units[(r, s)] == unit
-
-
-def test_white_graph_json_round_trip():
-    graph = kanenobu_white_graph(-10, 13)
-    text = json.dumps(graph.to_json_dict())
-    back = WhiteGraph.from_json(text)
-    assert back == graph
-    data = json.loads(text)
-    assert set(data) == {"vertices", "edges", "cyclic"}
 
 
 def test_minor_matrix_entries():
@@ -221,5 +210,5 @@ def test_weighted_trefoil_is_the_three_edge_graph():
                       cyclic=((0, 2, 4), (5, 3, 1)))
     assert graph.expanded() == unit
     cover = white_graph_presentation(graph)
-    assert cover.presentation.relators == (relator(gen(1), 3),)
+    assert cover.presentation.relators == (((gen(1), 3),),)  # the run a1^3
     assert homology(cover) == ([3], (1,))

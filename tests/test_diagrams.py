@@ -11,7 +11,7 @@ from qatorsion.diagrams import (DiagramError, LinkDiagram, kanenobu_diagram,
                                 parity_reduced_diagram, unknot_diagram,
                                 white_graph_diagram)
 
-from oracles import braid_closure, figure_eight_diagram, torus_knot_diagram
+from oracles import braid_closure, figure_eight_diagram, pd_text, torus_knot_diagram
 
 
 def test_arc_labels_must_appear_twice():
@@ -64,7 +64,7 @@ def test_twist_family_diagram_size_and_knottedness():
 
 def test_pd_text_round_trip():
     d = braid_closure([1, 1, 1], 2)
-    text = d.to_text()
+    text = pd_text(d)
     assert text.startswith("X[")
     assert "O[0:" in text
     back = LinkDiagram.from_text(text)

@@ -89,14 +89,14 @@ def test_fast_derivative_abelianization_agrees():
 
 def test_presentation_matrix_examples():
     assert presentation_matrix(
-        Presentation(gens=1, relators=(relator(gen(1), 7),))) == [[7]]
+        Presentation(gens=1, relators=(((gen(1), 7),),))) == [[7]]
     assert presentation_matrix(
         Presentation(gens=1, relators=(relator(gen(1)),))) == [[1]]
 
 
 def test_fox_matrix_examples():
     p = 5
-    fm = fox_matrix(Presentation(gens=1, relators=(relator(gen(1), p),)))
+    fm = fox_matrix(Presentation(gens=1, relators=(((gen(1), p),),)))
     assert fm[0][0] == FreeGroupRingElem({wpow(gen(1), k): 1 for k in range(p)})
     empty = fox_matrix(Presentation(gens=2, relators=((), relator(gen(2)))))
     assert empty[0][0].is_zero() and empty[1][0].is_zero()

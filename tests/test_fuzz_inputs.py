@@ -1,9 +1,8 @@
-"""Arbitrary text in each of the five input formats either parses or ends
+"""Arbitrary text in each of the four input formats either parses or ends
 with exit status 1 and an `error:` line; it never escapes as a traceback.
 
 The PD code, presentation, Gram and catalog texts go through the
-subcommand that reads them.  No subcommand reads white graphs, so
-`WhiteGraph.from_json` is called directly and may raise only ValueError.
+subcommand that reads them.
 """
 
 import contextlib
@@ -103,18 +102,9 @@ def test_catalog_json(input_path, text):
            ["cbound", "--det", "25", "--catalog"])
 
 
-@FUZZ
-@given(text=_json_texts)
-def test_white_graph_json(text):
-    try:
-        WhiteGraph.from_json(text)
-    except ValueError:
-        pass
-
-
 @st.composite
 def _weighted_graphs(draw):
-    """White-graph JSON whose cyclic orders fit its edges; the weights are
+    """White-graph fields whose cyclic orders fit its edges; the weights are
     nonzero integers, or 0, booleans and floats, which must be refused."""
     k = draw(st.integers(1, 3))
     verts = list(range(1, k + 1)) + [BOUNDARY]
@@ -125,8 +115,8 @@ def _weighted_graphs(draw):
     for e, (a, b, _w) in enumerate(edges):
         ends[a].append(2 * e)
         ends[b].append(2 * e + 1)
-    return {"vertices": k, "edges": [list(e) for e in edges],
-            "cyclic": [draw(st.permutations(ends[v])) for v in verts]}
+    return {"vertices": k, "edges": tuple(edges),
+            "cyclic": tuple(tuple(draw(st.permutations(ends[v]))) for v in verts)}
 
 
 def _cover_words(graph):
@@ -139,20 +129,14 @@ def _cover_words(graph):
 
 
 @FUZZ
-@given(data=_weighted_graphs())
-def test_weighted_white_graph(data):
-    weights = [w for _a, _b, w in data["edges"]]
-    text = json.dumps(data)
-    direct = dict(vertices=data["vertices"], edges=tuple(map(tuple, data["edges"])),
-                  cyclic=tuple(map(tuple, data["cyclic"])))
+@given(fields=_weighted_graphs())
+def test_weighted_white_graph(fields):
+    weights = [w for _a, _b, w in fields["edges"]]
     if not all(type(w) is int and w != 0 for w in weights):
         with pytest.raises(ValueError):
-            WhiteGraph.from_json(text)
-        with pytest.raises(ValueError):
-            WhiteGraph(**direct)
+            WhiteGraph(**fields)
         return
-    graph = WhiteGraph.from_json(text)
-    assert graph == WhiteGraph(**direct)
+    graph = WhiteGraph(**fields)
     unit = graph.expanded()
     assert len(unit.edges) == sum(abs(w) for w in weights)
     assert unit.expanded() == unit

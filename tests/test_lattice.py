@@ -21,7 +21,7 @@ from qatorsion.lattice import (CATALOG_CONDITION, MAX_COMPLETE_RANK,
                                m_invariant, qa_verdict)
 
 from oracles import (brute_coset_maxima, brute_m_invariant, char_cosets,
-                     coset_square_maxima, d_lens_oracle,
+                     coset_square_maxima, d_lens_oracle, diagonal,
                      fraction_enumerate_in_ellipsoid, mat_mul,
                      pairwise_definite_lattices, transpose,
                      unpruned_definite_lattices)
@@ -39,7 +39,7 @@ NEG_E8 = GramLattice.from_rows([
 
 def test_definiteness_validation():
     with pytest.raises(LatticeError):
-        GramLattice.diagonal([1])
+        diagonal([1])
     with pytest.raises(LatticeError, match="Gram matrix is not negative definite"):
         GramLattice.from_rows([[-1, 2], [2, -1]])
     with pytest.raises(LatticeError):
@@ -77,7 +77,7 @@ def _representative(lat, label):
 
 
 def test_adjugate_is_det_times_inverse():
-    for lat in [GramLattice.diagonal([-2, -3]), NEG_E8,
+    for lat in [diagonal([-2, -3]), NEG_E8,
                 GramLattice.from_rows([[-2, -1], [-1, -13]]),
                 GramLattice.from_rows([[-2, 1, 0], [1, -3, 1], [0, 1, -5]])]:
         det = (-1) ** lat.rank * lat.disc
@@ -86,17 +86,17 @@ def test_adjugate_is_det_times_inverse():
 
 
 def test_char_coset_counts():
-    for lat in [GramLattice.rank_zero(), GramLattice.diagonal([-1]),
-                GramLattice.diagonal([-1, -1]), GramLattice.diagonal([-25]),
-                GramLattice.diagonal([-2, -3]),
+    for lat in [GramLattice.rank_zero(), diagonal([-1]),
+                diagonal([-1, -1]), diagonal([-25]),
+                diagonal([-2, -3]),
                 GramLattice.from_rows([[-2, -1], [-1, -13]])]:
         assert len(coset_square_maxima(lat)) == lat.disc
     assert coset_square_maxima(GramLattice.rank_zero()) == {(): 0}
-    assert coset_square_maxima(GramLattice.diagonal([-1])) == {(1,): -1}
+    assert coset_square_maxima(diagonal([-1])) == {(1,): -1}
 
 
 def test_char_cosets_have_characteristic_parity():
-    for lat in [GramLattice.diagonal([-2, -3]), NEG_E8,
+    for lat in [diagonal([-2, -3]), NEG_E8,
                 GramLattice.from_rows([[-2, -1], [-1, -13]])]:
         for label in coset_square_maxima(lat):
             chi = _representative(lat, label)
@@ -107,7 +107,7 @@ def test_char_cosets_have_characteristic_parity():
 
 def test_doubling_by_lattice_vectors_stays_in_class():
     rng = random.Random(51)
-    for lat in [GramLattice.diagonal([-3, -5]),
+    for lat in [diagonal([-3, -5]),
                 GramLattice.from_rows([[-2, -1], [-1, -13]])]:
         for label in coset_square_maxima(lat):
             chi = _representative(lat, label)
@@ -121,7 +121,7 @@ def test_doubling_by_lattice_vectors_stays_in_class():
 
 def test_m_of_unit_diagonals_is_zero():
     for k in range(1, 7):
-        assert m_invariant(GramLattice.diagonal([-1] * k)) == 0
+        assert m_invariant(diagonal([-1] * k)) == 0
     assert m_invariant(GramLattice.rank_zero()) == 0
 
 
@@ -141,7 +141,7 @@ def test_m_of_unimodular_sums_within_budget():
     # One coset each: chi = 0 + 1 on -E8 + <-1> (its last coordinate is
     # odd, so chi^2 <= -1), chi = 0 on the even -E8 + -E8.
     start = time.perf_counter()
-    e8_unit = _orthogonal_sum(NEG_E8, GramLattice.diagonal([-1]))
+    e8_unit = _orthogonal_sum(NEG_E8, diagonal([-1]))
     assert list(coset_square_maxima(e8_unit).values()) == [-1]
     assert m_invariant(e8_unit) == 2
     e8_e8 = _orthogonal_sum(NEG_E8, NEG_E8)
@@ -153,16 +153,16 @@ def test_m_of_unimodular_sums_within_budget():
 
 def test_rank_one_maxima_match_lens_recursion():
     for p in range(2, 13):
-        lat = GramLattice.diagonal([-p])
+        lat = diagonal([-p])
         maxima = sorted((v + 1) / 4 for v in coset_square_maxima(lat).values())
         assert maxima == sorted(d_lens_oracle(p, p - 1))
 
 
 def test_m_matches_brute_force_spot():
-    for lat in [GramLattice.diagonal([-2, -3]), GramLattice.diagonal([-25]),
+    for lat in [diagonal([-2, -3]), diagonal([-25]),
                 GramLattice.from_rows([[-2, -1], [-1, -13]]),
-                GramLattice.diagonal([-1, -5, -5]),
-                GramLattice.diagonal([-1, -1, -5, -5])]:
+                diagonal([-1, -5, -5]),
+                diagonal([-1, -1, -5, -5])]:
         assert m_invariant(lat) == brute_m_invariant(lat)
         brute = brute_coset_maxima(lat)
         by_label = {_label(lat, c.representative): brute[c.coset_id]
@@ -207,15 +207,15 @@ def test_c_bound25_searches_each_distinct_block_once_per_call(monkeypatch,
     assert c_bound(25, catalog).value == -6
     assert calls == [((-25,),)]
     calls.clear()
-    assert m_invariant(GramLattice.diagonal([-5, -1, -5, -1])) == -2
+    assert m_invariant(diagonal([-5, -1, -5, -1])) == -2
     assert calls == [((-5,),)]
 
 
 def test_m_is_congruence_invariant():
     rng = random.Random(52)
-    for lat in [GramLattice.diagonal([-1, -2]), GramLattice.diagonal([-3, -5]),
+    for lat in [diagonal([-1, -2]), diagonal([-3, -5]),
                 GramLattice.from_rows([[-2, -1], [-1, -13]]),
-                GramLattice.diagonal([-2, -2, -3])]:
+                diagonal([-2, -2, -3])]:
         base = m_invariant(lat)
         for _ in range(50):
             r = lat.rank
@@ -232,11 +232,11 @@ def test_m_is_congruence_invariant():
 
 
 def test_orthogonal_unit_summand_preserves_m_on_corpus():
-    corpus = [GramLattice.diagonal([-2]), GramLattice.diagonal([-3, -5]),
+    corpus = [diagonal([-2]), diagonal([-3, -5]),
               GramLattice.from_rows([[-2, -1], [-1, -13]]),
-              GramLattice.diagonal([-25])]
+              diagonal([-25])]
     for lat in corpus:
-        extended = _orthogonal_sum(lat, GramLattice.diagonal([-1]))
+        extended = _orthogonal_sum(lat, diagonal([-1]))
         assert m_invariant(extended) == m_invariant(lat)
 
 
@@ -247,9 +247,9 @@ def _permuted(lat: GramLattice, perm: list[int]) -> GramLattice:
 def test_m_of_units_plus_a_large_summand_within_budget():
     # m adds over orthogonal blocks, so the <-1> summands cost nothing; the
     # unsplit search over this D = 1000 lattice runs for minutes.
-    lat = GramLattice.diagonal([-1, -1, -1, -1000])
+    lat = diagonal([-1, -1, -1, -1000])
     start = time.perf_counter()
-    assert m_invariant(lat) == m_invariant(GramLattice.diagonal([-1000]))
+    assert m_invariant(lat) == m_invariant(diagonal([-1000]))
     assert m_invariant(lat) == Fraction(-999, 4)
     assert m_invariant(_permuted(lat, [1, 3, 0, 2])) == Fraction(-999, 4)
     elapsed = time.perf_counter() - start
@@ -259,14 +259,14 @@ def test_m_of_units_plus_a_large_summand_within_budget():
 def test_m_summed_over_blocks_equals_the_unsplit_minimum():
     a = GramLattice.from_rows([[-2, -1], [-1, -13]])
     b = GramLattice.from_rows([[-2, 1, 0], [1, -3, 1], [0, 1, -5]])
-    corpus = [_orthogonal_sum(GramLattice.diagonal([-2]), GramLattice.diagonal([-3])),
-              _orthogonal_sum(a, GramLattice.diagonal([-5])),
-              _orthogonal_sum(GramLattice.diagonal([-1]), b),
+    corpus = [_orthogonal_sum(diagonal([-2]), diagonal([-3])),
+              _orthogonal_sum(a, diagonal([-5])),
+              _orthogonal_sum(diagonal([-1]), b),
               _orthogonal_sum(a, GramLattice.from_rows([[-2, 1], [1, -3]])),
-              _orthogonal_sum(GramLattice.diagonal([-3, -1]), a),
-              _permuted(_orthogonal_sum(a, GramLattice.diagonal([-3, -2])),
+              _orthogonal_sum(diagonal([-3, -1]), a),
+              _permuted(_orthogonal_sum(a, diagonal([-3, -2])),
                         [2, 0, 3, 1]),
-              _permuted(_orthogonal_sum(GramLattice.diagonal([-2]), b), [1, 0, 3, 2])]
+              _permuted(_orthogonal_sum(diagonal([-2]), b), [1, 0, 3, 2])]
     for lat in corpus:
         unsplit = min((sq + lat.rank) / 4 for sq in coset_square_maxima(lat).values())
         assert m_invariant(lat) == unsplit, lat.gram
@@ -382,10 +382,10 @@ def test_rank_two_enumeration_complete_against_wide_scan():
 
 
 def test_isometry_detects_diagonal_reordering():
-    a = GramLattice.diagonal([-1, -4])
-    b = GramLattice.diagonal([-4, -1])
+    a = diagonal([-1, -4])
+    b = diagonal([-4, -1])
     assert lattices_isometric(a, b)
-    assert not lattices_isometric(a, GramLattice.diagonal([-2, -2]))
+    assert not lattices_isometric(a, diagonal([-2, -2]))
 
 
 def test_enumeration_equals_the_pairwise_dedupe():
@@ -529,9 +529,9 @@ def test_c_bound_examples():
     assert cb1.value == 0 and cb1.complete
     cb2 = c_bound(2, build_catalog(2))
     assert cb2.complete
-    assert cb2.value == m_invariant(GramLattice.diagonal([-2]))
+    assert cb2.value == m_invariant(diagonal([-2]))
     with pytest.raises(LatticeError):
-        c_bound(2, [GramLattice.diagonal([-3])])
+        c_bound(2, [diagonal([-3])])
 
 
 @pytest.fixture(scope="module")
@@ -553,7 +553,7 @@ def test_m_floor_is_below_m_on_every_catalog_lattice(catalogs_to_30):
             assert _m_floor(lat) <= m_invariant(lat), lat.gram
         # the floor is m exactly on <-1>^k + <-D>
         for k in range(4):
-            lat = GramLattice.diagonal([-1] * k + [-disc])
+            lat = diagonal([-1] * k + [-disc])
             assert _m_floor(lat) == m_invariant(lat) == Fraction(1 - disc, 4)
 
 
@@ -595,7 +595,7 @@ def test_c_bound_prunes_a_member_whose_search_is_over_the_cap(monkeypatch):
         return search(lat)
 
     monkeypatch.setattr(lattice, "_least_char_squares", counted)
-    bound = c_bound(51, [member, GramLattice.diagonal([-51])])
+    bound = c_bound(51, [member, diagonal([-51])])
     assert bound == CBound(disc=51, value=Fraction(-25, 2), complete=False,
                            catalog_size=2)
     assert calls == [((-51,),)]

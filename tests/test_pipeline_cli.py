@@ -12,7 +12,7 @@ from qatorsion.diagrams import kanenobu_diagram, parity_reduced_diagram
 from qatorsion.pipeline import family_parameters, run_family
 from qatorsion.skein import goeritz_invariants, jones_polynomial
 
-from oracles import presentation_to_text, torus_knot_diagram
+from oracles import pd_text, presentation_to_text, torus_knot_diagram
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +169,7 @@ def test_cli_jones_kanenobu_refuses_an_over_budget_diagram_before_building_it(ca
 
 def test_cli_jones_pd_file(tmp_path, capsys):
     path = tmp_path / "t35.pd"
-    path.write_text(torus_knot_diagram(3, 5).to_text())
+    path.write_text(pd_text(torus_knot_diagram(3, 5)))
     code, out, _ = run_cli(capsys, "jones", "--pd", str(path))
     assert code == 0
     assert out.strip() == "t^4 + t^6 - t^10"
@@ -177,7 +177,7 @@ def test_cli_jones_pd_file(tmp_path, capsys):
 
 def test_cli_lambda(tmp_path, capsys):
     path = tmp_path / "t35.pd"
-    path.write_text(torus_knot_diagram(3, 5).to_text())
+    path.write_text(pd_text(torus_knot_diagram(3, 5)))
     code, out, _ = run_cli(capsys, "lambda", "--pd", str(path))
     assert code == 0
     assert out.strip() == "-2"

@@ -238,7 +238,7 @@ def test_mirror_covariance():
         m = braid_closure([-w for w in word], strands)
         vu = jones_polynomial(d).upoly
         vm = jones_polynomial(m).upoly
-        assert vm == vu.mirror()
+        assert vm == Laurent({-e: c for e, c in vu.terms.items()})  # u -> 1/u
         if d.is_connected() and m.is_connected():
             assert goeritz_invariants(m)[2] == -goeritz_invariants(d)[2]
             assert goeritz_invariants(m)[1] == goeritz_invariants(d)[1]

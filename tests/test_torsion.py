@@ -25,7 +25,7 @@ def test_zero_sum_normalisation():
 
 def test_zero_minor_gives_zero_vector():
     tau = torsion_from_minor(GroupRingElem.zero(25), 1, 1)
-    assert tau.is_zero()
+    assert not any(tau.values)
 
 
 def test_torsion_matches_linear_system_oracle():
@@ -61,7 +61,7 @@ def test_precondition_violation_reported():
 def test_growth_is_affine_with_negative_direction():
     rep = torsion_growth(10)
     assert rep.affine
-    assert not rep.delta.is_zero()
+    assert any(rep.delta.values)
     assert rep.delta_min < 0
     assert rep.decreasing_from is not None
     mins = rep.min_values
@@ -148,8 +148,9 @@ def test_lens_component_values_via_package_primitives():
     one = CyclotomicNumber.one(7)
     want = ((CyclotomicNumber.zeta_power(7, 1) - one).inv()
             * (CyclotomicNumber.zeta_power(7, 2) - one).inv())
-    assert phi_at_divisor(tau.as_group_ring(), 7) == want
-    assert phi_at_divisor(tau.as_group_ring(), 1).rational_value() == 0
+    as_group_ring = GroupRingElem(tau.modulus, tau.values)
+    assert phi_at_divisor(as_group_ring, 7) == want
+    assert phi_at_divisor(as_group_ring, 1) == CyclotomicNumber.zero(1)
 
 
 # Frozen expected values, computed once with the independent linear-system
