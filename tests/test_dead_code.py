@@ -135,3 +135,83 @@ def main():
 def test_guard_names_exactly_the_dead_methods():
     found = unreached({"sample.py": GUARD_SAMPLE}, {("sample.py", "main")})
     assert [name for _file, _line, name in found] == ["Shape.perimeter", "Shape._render"]
+
+
+BASES_SAMPLE = '''
+class Base:
+    def helper(self):      # reached through self. in a derived class
+        return 1
+
+
+class Child(Base):
+    def run(self):
+        return self.helper()
+
+
+class Other:
+    def helper(self):      # dead: self.helper in Child resolves to Base
+        return 2
+
+
+class Maker:
+    @classmethod
+    def make(cls):         # reached through the class name
+        return cls._raw()
+
+    @classmethod
+    def _raw(cls):         # reached only through cls.
+        return 3
+
+
+class Spare:
+    @classmethod
+    def make(cls):         # dead: main calls Maker.make, not Spare.make
+        return 4
+
+
+def main():
+    return Child().run(), Maker.make(), Other(), Spare()
+'''
+
+
+def test_guard_resolves_class_names_and_bases():
+    found = unreached({"sample.py": BASES_SAMPLE}, {("sample.py", "main")})
+    assert [name for _file, _line, name in found] == ["Other.helper", "Spare.make"]
+
+
+MODULE_SAMPLE = '''
+def build_table():         # reached from module-level code
+    return {}
+
+
+TABLE = build_table()
+
+
+def origin():              # reached from a class body
+    return 0
+
+
+class Point:
+    ORIGIN = origin()
+
+    def __eq__(self, other):   # dunder: reached with its class
+        return True
+
+
+class Orphan:              # dead, and so is its dunder
+    def __init__(self):
+        self.x = 0
+
+
+def unused():              # dead
+    return Point()
+
+
+def main():
+    return Point() == Point()
+'''
+
+
+def test_guard_starts_from_module_code_and_class_bodies():
+    found = unreached({"sample.py": MODULE_SAMPLE}, {("sample.py", "main")})
+    assert [name for _file, _line, name in found] == ["Orphan", "Orphan.__init__", "unused"]
