@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .intmat import invert_rational
+from .laurent import format_terms
 
 
 def _as_fraction(x) -> Fraction:
@@ -344,25 +345,8 @@ class GroupRingElem:
         return f"GroupRingElem({self.modulus}, {self.to_string()!r})"
 
     def to_string(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            if c == 1 and k > 0:
-                terms.append(mono)
-            elif c == -1 and k > 0:
-                terms.append(f"-{mono}")
-            elif k == 0:
-                terms.append(str(c))
-            else:
-                terms.append(f"{c}*{mono}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for term in terms[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        return format_terms(("" if k == 0 else "t" if k == 1 else f"t^{k}", c)
+                            for k, c in enumerate(self.coeffs))
 
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "coeffs": [str(c) for c in self.coeffs]}

@@ -3,7 +3,8 @@
 Stored as exponent -> coefficient dicts; used for Kauffman brackets
 (variable A) and Jones polynomials of knots (variable t).  Jones
 polynomials of links need t^(1/2); those are handled by keeping exponents
-in half-units, see `skein.JonesPolynomial`.
+in half-units, see `skein.JonesPolynomial`.  `format_terms` prints every
+exact polynomial of the package, group-ring elements included.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ class Laurent:
             k >>= 1
         return out
 
-    def min_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.terms)
-
     def evaluate(self, x) -> Fraction:
         """Exact evaluation at a nonzero rational."""
         x = Fraction(x)
@@ -123,61 +119,33 @@ class Laurent:
     def derivative(self) -> "Laurent":
         return Laurent({e - 1: c * e for e, c in self.terms.items() if e != 0})
 
-    def divide_exact(self, other: "Laurent") -> "Laurent":
-        """Exact division; raises ArithmeticError when not divisible."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return Laurent.zero()
-        # shift both to ordinary polynomials
-        sh_n = self.min_exponent()
-        sh_d = other.min_exponent()
-        num = {e - sh_n: c for e, c in self.terms.items()}
-        den = {e - sh_d: c for e, c in other.terms.items()}
-        dd = max(den)
-        lead = den[dd]
-        quot: dict[int, int] = {}
-        while num:
-            dn = max(num)
-            if dn < dd:
-                raise ArithmeticError("non-exact Laurent division")
-            c, r = divmod(num[dn], lead)
-            if r:
-                raise ArithmeticError("non-exact Laurent division")
-            e = dn - dd
-            quot[e] = c
-            for de, dc in den.items():
-                k = e + de
-                num[k] = num.get(k, 0) - c * dc
-                if num[k] == 0:
-                    del num[k]
-        return Laurent(quot).shift(sh_n - sh_d)
-
-    def to_string(self, var: str = "t") -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = var
-            else:
-                mono = f"{var}^{e}"
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
-            pieces.append(piece)
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+    def to_string(self) -> str:
+        return format_terms(("" if e == 0 else "t" if e == 1 else f"t^{e}",
+                             self.terms[e]) for e in sorted(self.terms))
 
     def __repr__(self) -> str:
         return f"Laurent({self.to_string()!r})"
+
+
+def format_terms(terms: Iterable[tuple[str, object]]) -> str:
+    """Print (monomial, coefficient) pairs in the given order as a sum, e.g.
+    "2 - t + 3*t^2".  The monomial "" stands for 1; zero coefficients are
+    skipped, and no terms print as "0"."""
+    pieces = []
+    for mono, c in terms:
+        if not c:
+            continue
+        if not mono:
+            pieces.append(str(c))
+        elif c == 1:
+            pieces.append(mono)
+        elif c == -1:
+            pieces.append(f"-{mono}")
+        else:
+            pieces.append(f"{c}*{mono}")
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for p in pieces[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out

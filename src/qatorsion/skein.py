@@ -13,7 +13,8 @@ double cover.
 The bracket is evaluated by sweeping the diagram one crossing at a time,
 carrying partial state sums indexed by how the open strand ends are paired
 through the swept region, so twist regions cost polynomial work; the 2^c
-state sum exists only as a test oracle.
+state sum exists only as a test oracle.  The bracket is normalised at the
+last crossing of the sweep, not by a division afterwards.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .diagrams import DiagramError, LinkDiagram
 from .intmat import _symmetric_bareiss
-from .laurent import Laurent
+from .laurent import Laurent, format_terms
 
 LOOP = Laurent({2: -1, -2: -1})  # delta = -A^2 - A^(-2)
 
@@ -87,31 +88,35 @@ def _merge_crossing(matching: frozenset, tup: Sequence[int],
 
 def kauffman_bracket(diagram: LinkDiagram) -> Laurent:
     """<D> in the variable A, normalised so <unknot> = 1 and a split unknot
-    multiplies by -A^2 - A^(-2)."""
+    multiplies by -A^2 - A^(-2).
+
+    The normalisation (one factor of delta less than the loop count) is
+    taken at the last crossing of the sweep: every open end of the swept
+    region meets that crossing, so in every state its second smoothing
+    join closes a loop, and that loop goes uncounted."""
     n = len(diagram.crossings)
     if n == 0:
         if diagram.free_loops == 0:
             raise DiagramError("empty diagram")
         return LOOP ** (diagram.free_loops - 1)
-    states: dict[frozenset, Laurent] = {frozenset(): Laurent.one()}
-    for ci in _sweep_order(diagram):
+    order = _sweep_order(diagram)
+    states: dict[frozenset, Laurent] = {frozenset(): LOOP ** diagram.free_loops}
+    for ci in order:
         tup = diagram.crossings[ci]
+        uncounted = 1 if ci == order[-1] else 0
         new_states: dict[frozenset, Laurent] = {}
         for matching, coeff in states.items():
             for smoothing, weight in ((A_SMOOTHING, Laurent.term(1)),
                                       (B_SMOOTHING, Laurent.term(-1))):
                 new_matching, loops = _merge_crossing(matching, tup, smoothing)
-                add = coeff * weight * (LOOP ** loops)
+                add = coeff * weight * (LOOP ** (loops - uncounted))
                 prev = new_states.get(new_matching)
                 new_states[new_matching] = add if prev is None else prev + add
         states = {k: v for k, v in new_states.items() if not v.is_zero()}
-    total = Laurent.zero()
-    for matching, coeff in states.items():
-        if matching:
-            raise AssertionError("open strands remain after the sweep")
-        total = total + coeff
-    total = total * (LOOP ** diagram.free_loops)
-    return total.divide_exact(LOOP)
+    total = states.pop(frozenset(), Laurent.zero())
+    if states:
+        raise AssertionError("open strands remain after the sweep")
+    return total
 
 
 class JonesPolynomial:
@@ -143,26 +148,11 @@ class JonesPolynomial:
 
     def to_string(self) -> str:
         if self.is_integral():
-            return self.t_polynomial().to_string("t")
-        bits = []
-        for e in sorted(self.upoly.terms):
-            c = self.upoly.terms[e]
-            if e % 2 == 0:
-                mono = "" if e == 0 else f"t^{e // 2}"
-            else:
-                mono = f"t^({e}/2)"
-            if not mono:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{c}*{mono}")
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+            return self.t_polynomial().to_string()
+        terms = self.upoly.terms
+        return format_terms(
+            ("" if e == 0 else f"t^({e}/2)" if e % 2 else f"t^{e // 2}", terms[e])
+            for e in sorted(terms))
 
     def __repr__(self) -> str:
         return f"JonesPolynomial({self.to_string()!r})"
@@ -207,25 +197,18 @@ def jones_derivative_at(v: JonesPolynomial, t0) -> Fraction:
 # Goeritz form, determinant, signature
 # ---------------------------------------------------------------------------
 
-def _goeritz_data(diagram: LinkDiagram, white: bool = True,
+def _goeritz_data(diagram: LinkDiagram,
                   multiplicity: Sequence[int] | None = None):
-    """Goeritz matrix for the chosen colour class, plus the correction term
-    of the spanning-surface signature formula; crossing ci counts
-    multiplicity[ci] times (default once).
+    """White Goeritz matrix, plus the correction term of the spanning-surface
+    signature formula; crossing ci counts multiplicity[ci] times (default
+    once).
 
-    Returns (matrix, correction).  The matrix is indexed by the regions of
-    that colour except the one containing the unbounded face (for the
-    white class) or an arbitrary fixed one (black class).
+    Returns (matrix, correction).  The matrix is indexed by the white
+    regions except the one containing the unbounded face.
     """
-    colors = diagram.checkerboard_colors()
-    target = 1 if white else 0
-    faces = diagram.faces()
-    regions = [f for f in range(len(faces)) if colors[f] == target]
-    if white:
-        drop = diagram.unbounded_face()
-    else:
-        drop = regions[0]
-    index = {f: i for i, f in enumerate(r for r in regions if r != drop)}
+    drop = diagram.unbounded_face()
+    index = {f: i for i, f in enumerate(
+        f for f, c in enumerate(diagram.checkerboard_colors()) if c == 1 and f != drop)}
     size = len(index)
     g = [[0] * size for _ in range(size)]
     correction = 0
@@ -233,14 +216,12 @@ def _goeritz_data(diagram: LinkDiagram, white: bool = True,
     for ci in range(len(diagram.crossings)):
         m = 1 if multiplicity is None else multiplicity[ci]
         even_white = diagram.white_quadrants_are_even(ci)
-        q_first, q_second = ((0, 2) if even_white == (target == 1)
-                             else (1, 3))
+        q_first, q_second = (0, 2) if even_white else (1, 3)
         f1, f2 = fq[(ci, q_first)], fq[(ci, q_second)]
-        eta = 1 if even_white == (target == 1) else -1
-        # eta for this colour class: +1 when the class occupies quadrants
-        # q0 and q2
+        # eta: +1 when the white regions occupy quadrants q0 and q2
+        eta = 1 if even_white else -1
         sign = diagram.crossing_sign(ci)
-        # type II crossings (both strands oriented across the class axis the
+        # type II crossings (both strands oriented across the white axis the
         # same way) satisfy sign * eta == +1; they enter the correction
         if sign * eta == 1:
             correction += m * eta
@@ -277,7 +258,7 @@ def goeritz_invariants(diagram: LinkDiagram,
         raise DiagramError("Goeritz invariants need a connected diagram")
     if diagram.n_crossings == 0:
         return [], 1, 0
-    g, correction = _goeritz_data(diagram, white=True, multiplicity=multiplicity)
+    g, correction = _goeritz_data(diagram, multiplicity=multiplicity)
     rows = _symmetric_bareiss(g)
     minors = [1] + [rows[k][k] for k in range(len(g))]
     sigma = sum((a * b > 0) - (a * b < 0) for a, b in zip(minors, minors[1:]))

@@ -30,7 +30,7 @@ from qatorsion import lattice as lattice_module
 from qatorsion.lattice import GramLattice, LatticeError
 from qatorsion.laurent import Laurent
 from qatorsion.pipeline import family_casson_walker, family_member, run_family
-from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP, _goeritz_data
+from qatorsion.skein import A_SMOOTHING, B_SMOOTHING, LOOP
 from qatorsion.torsion import TorsionVector, torsion_from_minor
 
 
@@ -726,9 +726,9 @@ def kauffman_bracket_naive(diagram: LinkDiagram) -> Laurent:
         for e1, e2 in diagram._occurrences.values():
             union(e1, e2)
         loops = len({find((ci, k)) for ci in range(n) for k in range(4)})
-        total = total + Laurent.term(2 * a_count - n) * (LOOP ** loops)
-    total = total * (LOOP ** diagram.free_loops)
-    return total.divide_exact(LOOP)
+        total = total + (Laurent.term(2 * a_count - n)
+                         * LOOP ** (loops + diagram.free_loops - 1))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -984,6 +984,20 @@ def fox_matrix(p: Presentation) -> list[list[FreeGroupRingElem]]:
             for i in range(p.gens)]
 
 
+def _laurent_divide_exact(num: Laurent, den: Laurent) -> Laurent:
+    """num / den in Z[t, t^-1] by dense long division of the shifted
+    polynomials; raises ArithmeticError unless the quotient is exact and
+    integral."""
+    if num.is_zero():
+        return num
+    low_n, low_d = min(num.terms), min(den.terms)
+    q, r = _pdivmod([num.terms.get(e, 0) for e in range(low_n, max(num.terms) + 1)],
+                    [den.terms.get(e, 0) for e in range(low_d, max(den.terms) + 1)])
+    if r or any(c.denominator != 1 for c in q):
+        raise ArithmeticError("non-exact Laurent division")
+    return Laurent({e + low_n - low_d: int(c) for e, c in enumerate(q)})
+
+
 def laurent_det(a: list[list[Laurent]]) -> Laurent:
     """Determinant of a square Laurent matrix by fraction-free Bareiss
     elimination over Z[t, t^-1] (all interior divisions are exact)."""
@@ -1003,7 +1017,7 @@ def laurent_det(a: list[list[Laurent]]) -> Laurent:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.divide_exact(prev)
+                a[i][j] = _laurent_divide_exact(num, prev)
             a[i][k] = Laurent.zero()
         prev = a[k][k]
     out = a[n - 1][n - 1]
@@ -1187,10 +1201,37 @@ def wirtinger_presentation(diagram: LinkDiagram):
 
 def goeritz_invariants_black(diagram: LinkDiagram) -> tuple[int, int]:
     """(determinant, signature) computed from the black surface; must agree
-    with the white computation."""
+    with the white computation.
+
+    The matrix is indexed by the black regions except the first.  A
+    crossing whose black quadrants lie in two different regions adds eta
+    to both diagonal entries and -eta to the two entries between them,
+    where eta = +1 when black occupies quadrants q0 and q2 and -1 when it
+    occupies q1 and q3.  The correction sums eta over the crossings with
+    sign * eta = +1."""
     if diagram.n_crossings == 0:
         return 1, 0
-    g, correction = _goeritz_data(diagram, white=False)
+    colors = diagram.checkerboard_colors()
+    fq = diagram.face_of_quadrant()
+    index = {f: i for i, f in enumerate(
+        [f for f, c in enumerate(colors) if c == 0][1:])}
+    g = [[0] * len(index) for _ in index]
+    correction = 0
+    for ci in range(diagram.n_crossings):
+        q = 0 if colors[fq[(ci, 0)]] == 0 else 1
+        eta = 1 if q == 0 else -1
+        if diagram.crossing_sign(ci) * eta == 1:
+            correction += eta
+        f1, f2 = fq[(ci, q)], fq[(ci, q + 2)]
+        if f1 == f2:
+            continue
+        i, j = index.get(f1), index.get(f2)
+        for k in (i, j):
+            if k is not None:
+                g[k][k] += eta
+        if i is not None and j is not None:
+            g[i][j] -= eta
+            g[j][i] -= eta
     return abs(det_bareiss(g)), symmetric_signature(g) - correction
 
 

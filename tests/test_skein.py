@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qatorsion.diagrams import kanenobu_diagram, unknot_diagram
+from qatorsion.diagrams import LinkDiagram, kanenobu_diagram, unknot_diagram
 from qatorsion.laurent import Laurent
+from qatorsion.pipeline import family_casson_walker
 from qatorsion.skein import (CrossingBudgetError, goeritz_invariants,
                              jones_derivative_at, jones_polynomial,
                              kauffman_bracket, mullins_lambda)
@@ -33,12 +34,29 @@ def small_corpus():
     return corpus
 
 
+def split_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
+    """The split diagram of a beside b: b's arc labels shifted past a's."""
+    shift = max(a.arcs())
+    shifted = tuple(tuple(x + shift for x in c) for c in b.crossings)
+    return LinkDiagram(a.crossings + shifted, free_loops=a.free_loops + b.free_loops)
+
+
 def test_sweep_bracket_equals_naive():
-    # the corpus, then wider frontiers: up to 5 strands and 10 crossings
+    # the corpus, then wider frontiers (up to 5 strands and 10 crossings),
+    # then the cases of the last-crossing normalisation: free loops beside
+    # crossings, and split diagrams whose sweep empties its frontier before
+    # the last crossing
     rng = random.Random(43)
     wide = [braid_closure(*rand_braid(rng, rng.randint(2, 5), rng.randint(1, 10)))
             for _ in range(60)]
-    for d in small_corpus() + wide:
+    loose = [LinkDiagram(d.crossings, free_loops=k)
+             for d in small_corpus()[:6] for k in (1, 2)]
+    split = [split_union(braid_closure(*rand_braid(rng, length=rng.randint(1, 5))),
+                         braid_closure(*rand_braid(rng, length=rng.randint(1, 5))))
+             for _ in range(10)]
+    split += [split_union(braid_closure([1, 1, 1], 2), figure_eight_diagram()),
+              split_union(braid_closure([1], 2), braid_closure([-1], 2))]
+    for d in small_corpus() + wide + loose + split:
         assert kauffman_bracket(d) == kauffman_bracket_naive(d)
 
 
@@ -192,6 +210,16 @@ def test_mullins_constant_along_the_family():
     lam = mullins_lambda(kanenobu_diagram(0, 3))
     for (p, q) in [(1, 2), (2, 1), (3, 0), (-1, 4)]:
         assert mullins_lambda(kanenobu_diagram(p, q)) == lam
+
+
+@pytest.mark.parametrize("j", [0] + [
+    pytest.param(j, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 4a: family_casson_walker(j) takes "
+        "lambda of K_{0, j+3}, whose p + q is j + 3, not of a member"))
+    for j in range(1, 7)])
+def test_family_lambda_is_lambda_of_its_member(j):
+    # the member K_{-j, j+3} of family j has p + q = 3, like every member
+    assert family_casson_walker(j) == mullins_lambda(kanenobu_diagram(-j, j + 3))
 
 
 def test_mullins_needs_nonzero_determinant():
