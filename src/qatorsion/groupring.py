@@ -2,14 +2,20 @@
 
 Elements of Q[Z/N] are stored as length-N vectors of exact rationals
 (coefficient of t^k at index k); all products are cyclic convolutions, so
-exponents reduce mod N automatically.  For N a prime power p^m the ring
-splits as
+exponents reduce mod N automatically.  The ring splits as
 
-    Q[Z/N]  ~  Q  (+)  Q(zeta_p)  (+)  ...  (+)  Q(zeta_{p^m}),
+    Q[Z/N]  ~  (+)_{d | N}  Q(zeta_d),
 
-one field summand per divisor of N.  The same splitting (indexed by
-divisors) works for any cyclic N and is what the divisor-level functions
-implement.
+one field summand per divisor of N, reached by the ring homomorphism
+phi_d: t -> zeta_d (`phi_at_divisor`).  An element is rebuilt from its
+components by traces: N x_k is the sum of chi(x) chi(t)^-k over the N
+characters chi of Z/N, and those of order d are the Galois conjugates of
+phi_d, so
+
+    N x_k  =  sum_{d | N}  Tr_{Q(zeta_d)/Q}( phi_d(x) zeta_d^-k ),
+
+and in the power basis the trace of zeta_d^m is the Ramanujan sum c_d(m)
+(`phi_reconstruct_divisors`).
 
 No floating point is used anywhere: coefficients are `fractions.Fraction`
 over arbitrary-precision integers, and group-ring coefficients that are
@@ -21,8 +27,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import mul
 
-from .intmat import invert_rational
 from .laurent import format_terms
 
 
@@ -107,16 +114,16 @@ def euler_phi(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_basis_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
+def _power_basis_table(m: int) -> tuple[tuple[int, ...], ...]:
     """Row e (0 <= e < m) is x^e reduced mod Phi_m, in the power basis."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
+    cur = [0] * deg
+    cur[0] = 1
     rows = [tuple(cur)]
     for _ in range(m - 1):
         carry = cur[deg - 1]
-        cur = [Fraction(0)] + cur[:deg - 1]
+        cur = [0] + cur[:deg - 1]
         if carry:
             # Phi is monic: x^deg = -(phi[0] + phi[1] x + ... + phi[deg-1] x^{deg-1})
             for i in range(deg):
@@ -158,12 +165,6 @@ class CyclotomicNumber:
     def one(cls, m: int) -> "CyclotomicNumber":
         c = [Fraction(0)] * euler_phi(m)
         c[0] = Fraction(1)
-        return cls(m, c)
-
-    @classmethod
-    def from_rational(cls, m: int, x) -> "CyclotomicNumber":
-        c = [Fraction(0)] * euler_phi(m)
-        c[0] = _as_fraction(x)
         return cls(m, c)
 
     @classmethod
@@ -379,26 +380,24 @@ def phi_at_divisor(x: GroupRingElem, d: int) -> CyclotomicNumber:
     return CyclotomicNumber(d, out)
 
 
+def _ramanujan_sum(d: int, m: int) -> int:
+    """c_d(m) = Tr_{Q(zeta_d)/Q}(zeta_d^m) = mu(e) phi(d) / phi(e) with
+    e = d / gcd(d, m): zeta_d^m is a primitive e-th root of unity, the
+    primitive e-th roots sum to mu(e), which is minus the next-to-leading
+    coefficient of Phi_e, and each is hit phi(d) / phi(e) times."""
+    e = d // gcd(d, m)
+    return -cyclotomic_polynomial(e)[-2] * euler_phi(d) // euler_phi(e)
+
+
 @lru_cache(maxsize=None)
-def _decomposition_matrix_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the Q-linear map Q^n -> (+)_{d|n} Q(zeta_d) written in the
-    monomial basis t^k and the power bases of the components."""
-    divisors = divisor_levels(n)
-    rows_per = [euler_phi(d) for d in divisors]
-    size = sum(rows_per)
-    if size != n:
-        raise AssertionError("divisor degree sum must equal n")
-    # column k = stacked components of t^k
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        base = 0
-        for d, deg in zip(divisors, rows_per):
-            row = _power_basis_table(d)[k % d]
-            for i in range(deg):
-                mat[base + i][k] = row[i]
-            base += deg
-    inv = invert_rational(mat)
-    return tuple(tuple(r) for r in inv)
+def _reconstruction_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """n times the inverse of x -> (phi_d(x))_{d | n}: row k, column (d, i)
+    of the stacked power-basis coordinates is c_d(i - k).  Applied to the
+    components of t^j it gives sum_{d | n} c_d(j - k), the sum of the
+    (j - k)-th powers of all n-th roots of unity: n when j = k, else 0."""
+    return tuple(tuple(_ramanujan_sum(d, i - k) for d in divisor_levels(n)
+                       for i in range(euler_phi(d)))
+                 for k in range(n))
 
 
 def phi_reconstruct_divisors(components: dict[int, CyclotomicNumber],
@@ -411,12 +410,8 @@ def phi_reconstruct_divisors(components: dict[int, CyclotomicNumber],
     stacked: list[Fraction] = []
     for d in divisors:
         c = components[d]
-        if not isinstance(c, CyclotomicNumber):
-            c = CyclotomicNumber.from_rational(d, c)
         if c.conductor != d:
             raise ValueError(f"component for divisor {d} has conductor {c.conductor}")
         stacked.extend(c.coords)
-    inv = _decomposition_matrix_inverse(n)
-    coeffs = [sum((inv[i][j] * stacked[j] for j in range(n)), Fraction(0))
-              for i in range(n)]
-    return GroupRingElem(n, coeffs)
+    return GroupRingElem(n, [sum(map(mul, row, stacked)) / n
+                             for row in _reconstruction_matrix(n)])

@@ -1,17 +1,15 @@
-"""Exact integer and rational matrix utilities.
+"""Exact integer matrix utilities.
 
-Smith normal form with unimodular transforms, Bareiss determinants,
-rational inversion, and the package's one fraction-free elimination of a
-symmetric form, whose pivots give its determinant, its signature and
-whether it is positive definite.  Everything is list-of-lists over int /
-Fraction; matrices in this package are small (rank <= a few dozen), so
-clarity beats asymptotics.
+Smith normal form with unimodular transforms, Bareiss determinants, and
+the package's one fraction-free elimination of a symmetric form, whose
+pivots give its determinant, its signature and whether it is positive
+definite.  Everything is list-of-lists over int; matrices in this package
+are small (rank <= a few dozen), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 
 
 def identity(n: int) -> list[list[int]]:
@@ -149,21 +147,3 @@ def smith_normal_form(m) -> tuple[list[int], list[list[int]], list[list[int]]]:
                 x[t] = [-q for q in x[t]]
     return [a[i][i] for i in range(k)], u, v
 
-
-def invert_rational(m) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square matrix (entries int/Fraction)."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

@@ -272,7 +272,13 @@ def goeritz_invariants(diagram: LinkDiagram,
 def mullins_lambda(diagram: LinkDiagram) -> Fraction:
     """lambda(double branched cover) = -V'(-1) / (6 V(-1)) + sigma / 4,
     normalised so the boundary of the negative definite E8 plumbing has
-    lambda = -2.  Needs det != 0."""
+    lambda = -2.  Needs an odd number of components, so that V is a
+    polynomial in t, and det != 0."""
+    components = diagram.n_components()
+    if components % 2 == 0:
+        raise DiagramError(
+            f"Casson-Walker formula needs an odd number of components; "
+            f"the diagram has {components}")
     v = jones_polynomial(diagram)
     _g, det, sigma = goeritz_invariants(diagram)
     if det == 0:

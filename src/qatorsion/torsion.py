@@ -13,6 +13,19 @@ computation.  The package uses one convention, eps_d = 1, which every
 report names as "epsilon": "default"; the headline conclusions (affine
 growth in the twist parameter, divergence of the minimum; see `pipeline`)
 are invariant under the whole unit action tau -> +-t^k tau.
+
+The inverse factors have a closed form in Q[Z/N].  Let a_g = sum_{k<N} k
+t^{gk} and w = zeta_d^g != 1.  Shifting the sum by one step,
+
+    (w - 1) phi_d(a_g) = sum_{k=1}^{N} (k - 1) w^k - sum_{k<N} k w^k
+                       = (N - 1) w^N - sum_{k=1}^{N-1} w^k = N,
+
+since w^N = 1 and the powers w^0, ..., w^{N-1} sum to 0.  So
+phi_d(a_g) = N / (zeta_d^g - 1) at every divisor d > 1 (g a unit mod N),
+and tau = (x - mean(x) sum_k t^k) / N^2 with x = a_g a_h D: two integer
+convolutions and one division, with no cyclotomic field at all (ROADMAP
+item 5; the test oracle `torsion_closed_form` checks it against
+`torsion_from_minor`).
 """
 
 from __future__ import annotations

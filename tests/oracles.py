@@ -24,7 +24,8 @@ from qatorsion.diagrams import DiagramError, End, LinkDiagram
 from qatorsion.foxcalc import (FreeWord, Letter, Presentation, Relator, gen,
                                relator, winv, wmul)
 from qatorsion.groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
-                                 phi_at_divisor, phi_reconstruct_divisors)
+                                 euler_phi, phi_at_divisor,
+                                 phi_reconstruct_divisors)
 from qatorsion.intmat import _symmetric_bareiss, det_bareiss, smith_normal_form
 from qatorsion import lattice as lattice_module
 from qatorsion.lattice import GramLattice, LatticeError
@@ -179,6 +180,25 @@ def torsion_linear_system_oracle(minor_coeffs: list[Fraction], g: int, h: int,
     rows.append([Fraction(1)] * n)
     rhs = rhs_vec + [Fraction(0)]
     return solve_exact(rows, rhs)
+
+
+def torsion_closed_form(minor: GroupRingElem, g: int, h: int) -> list[Fraction]:
+    """The default-unit torsion with no cyclotomic arithmetic and no linear
+    system (ROADMAP item 5): tau = (x - mean(x) sum_k t^k) / N^2 with
+    x = a_g a_h minor and a_g = sum_{k<N} k t^{gk}, because
+    phi_d(a_g) = N / (zeta_d^g - 1) for every divisor d > 1 of N (derived
+    in the `torsion` module docstring); g and h must be units mod N."""
+    n = minor.modulus
+
+    def a(e: int) -> list[int]:
+        out = [0] * n
+        for k in range(n):
+            out[e * k % n] += k
+        return out
+
+    x = brute_convolution(brute_convolution(a(g), a(h), n), list(minor.coeffs), n)
+    mean = Fraction(sum(x), n)
+    return [(c - mean) / n ** 2 for c in x]
 
 
 # ---------------------------------------------------------------------------
@@ -1354,6 +1374,11 @@ def phi_component(x: GroupRingElem, j: int) -> CyclotomicNumber:
     return phi_at_divisor(x, p ** j)
 
 
+def cyclotomic_from_rational(m: int, x) -> CyclotomicNumber:
+    """The rational x as an element of Q(zeta_m)."""
+    return CyclotomicNumber(m, [x] + [0] * (euler_phi(m) - 1))
+
+
 def phi_decompose(x: GroupRingElem) -> dict[int, CyclotomicNumber]:
     """All divisor components of x."""
     return {d: phi_at_divisor(x, d) for d in divisor_levels(x.modulus)}
@@ -1367,7 +1392,7 @@ def phi_reconstruct(c0, c1: CyclotomicNumber, c2: CyclotomicNumber,
     if m != 2:
         raise ValueError("three-component reconstruction needs N = p^2")
     comps = {
-        1: CyclotomicNumber.from_rational(1, c0) if not isinstance(c0, CyclotomicNumber) else c0,
+        1: c0 if isinstance(c0, CyclotomicNumber) else cyclotomic_from_rational(1, c0),
         p: c1,
         p * p: c2,
     }

@@ -5,6 +5,7 @@ the command line or the pipeline entry points, not only from the tests:
 oracles and fixtures live in `tests/oracles.py`."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -215,3 +216,17 @@ def main():
 def test_guard_starts_from_module_code_and_class_bodies():
     found = unreached({"sample.py": MODULE_SAMPLE}, {("sample.py", "main")})
     assert [name for _file, _line, name in found] == ["Orphan", "Orphan.__init__", "unused"]
+
+
+def test_methods_the_benchmark_tracer_counts_exist():
+    """The benchmark's tracer looks methods up by name (`COUNTED_METHODS`
+    in perfbench/tracer.py), which no walk above can see: a method it names
+    that the package drops makes every traced run fail at install."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    counted = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["COUNTED_METHODS"])
+    assert counted
+    for module, cls, method in counted:
+        owner = getattr(importlib.import_module(f"qatorsion.{module}"), cls, None)
+        assert owner is not None and method in vars(owner), f"{module}.{cls}.{method}"

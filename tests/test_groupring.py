@@ -10,8 +10,8 @@ from qatorsion.groupring import (CyclotomicNumber, GroupRingElem,
                                  euler_phi, phi_at_divisor,
                                  phi_reconstruct_divisors)
 
-from oracles import (brute_convolution, phi_component, phi_decompose,
-                     phi_reconstruct)
+from oracles import (brute_convolution, cyclotomic_from_rational,
+                     phi_component, phi_decompose, phi_reconstruct)
 
 N = 25
 
@@ -93,8 +93,8 @@ def test_ring_axioms(a, b, c):
 
 def test_phi_component_examples():
     s = sigma()
-    assert phi_component(s, 0) == CyclotomicNumber.from_rational(1, 10)
-    assert phi_component(s, 1) == CyclotomicNumber.from_rational(5, 10)
+    assert phi_component(s, 0) == cyclotomic_from_rational(1, 10)
+    assert phi_component(s, 1) == cyclotomic_from_rational(5, 10)
     assert phi_component(s, 2) == CyclotomicNumber.zero(25)
     with pytest.raises(ValueError):
         phi_component(s, 3)
@@ -113,7 +113,7 @@ def test_coefficient_sum_is_trivial_component():
     rng = random.Random(5)
     for _ in range(15):
         x = rand_elem(rng)
-        assert phi_at_divisor(x, 1) == CyclotomicNumber.from_rational(1, sum(x.coeffs))
+        assert phi_at_divisor(x, 1) == cyclotomic_from_rational(1, sum(x.coeffs))
 
 
 def test_reconstruct_examples():
@@ -145,7 +145,7 @@ def test_cyclotomic_inverse():
     prod = one5
     for k in range(1, 5):
         prod = prod * (CyclotomicNumber.zeta_power(5, k) - one5)
-    assert prod == CyclotomicNumber.from_rational(5, 5)
+    assert prod == cyclotomic_from_rational(5, 5)
     with pytest.raises(ZeroDivisionError):
         CyclotomicNumber.zero(25).inv()
     with pytest.raises(ValueError):

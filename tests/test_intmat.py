@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qatorsion.intmat import (_symmetric_bareiss, det_bareiss, identity,
-                              invert_rational, smith_normal_form)
+                              smith_normal_form)
 
 from oracles import det_laplace, mat_mul, symmetric_signature, transpose
 
@@ -98,22 +98,6 @@ def test_det_matches_laplace():
         n = rng.randint(0, 5)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         assert det_bareiss(m) == det_laplace(m)
-
-
-def test_invert_rational():
-    rng = random.Random(15)
-    done = 0
-    while done < 20:
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        if det_bareiss(m) == 0:
-            continue
-        done += 1
-        inv = invert_rational(m)
-        prod = mat_mul(m, inv)
-        for i in range(n):
-            for j in range(n):
-                assert prod[i][j] == (1 if i == j else 0)
 
 
 def _elimination_invariants(form):

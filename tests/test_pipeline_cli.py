@@ -183,6 +183,14 @@ def test_cli_lambda(tmp_path, capsys):
     assert out.strip() == "-2"
 
 
+def test_cli_lambda_refuses_an_even_number_of_components(tmp_path, capsys):
+    path = tmp_path / "hopf.pd"
+    path.write_text("X[4,1,3,2], X[2,3,1,4]\n")
+    err = _rejected(capsys, "lambda", "--pd", str(path))
+    assert err == ("error: Casson-Walker formula needs an odd number of components; "
+                   "the diagram has 2\n")
+
+
 def test_cli_dinv(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "dinv", "--n", "0")
     assert code == 0

@@ -6,12 +6,13 @@ import pytest
 
 from qatorsion.covers import abelianized_minor, kanenobu_presentation
 from qatorsion.groupring import GroupRingElem
+from qatorsion.pipeline import family_parameters
 from qatorsion.torsion import (DEFAULT_EPSILON, TorsionPreconditionError,
                                TorsionVector, d_invariants, torsion_from_minor)
 
 from oracles import (d_lens_oracle, lens_casson_walker,
                      multiset_matches_up_to_unit, torsion_growth,
-                     torsion_kanenobu, torsion_lens,
+                     torsion_closed_form, torsion_kanenobu, torsion_lens,
                      torsion_linear_system_oracle, unit_action)
 
 
@@ -49,6 +50,32 @@ def test_torsion_kanenobu_matches_oracle():
         tau = torsion_kanenobu(n)
         oracle = torsion_linear_system_oracle(list(minor.coeffs), 1, 1, 25)
         assert list(tau.values) == oracle
+
+
+def test_closed_form_equals_torsion_on_the_cyclic_members():
+    members = 0
+    for j in range(10):
+        for n in range(13):
+            cover = kanenobu_presentation(*family_parameters(j, n))
+            if cover.g_classes is None:
+                continue
+            members += 1
+            minor = abelianized_minor(cover, 4, 4)
+            g, h = cover.g_classes[3], cover.h_classes[3]
+            assert list(torsion_from_minor(minor, g, h).values) == \
+                torsion_closed_form(minor, g, h), (j, n)
+    assert members == 104
+
+
+def test_closed_form_equals_torsion_on_random_minors():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        units = [k for k in range(n) if gcd(k, n) == 1]
+        g, h = rng.choice(units), rng.choice(units)
+        minor = GroupRingElem(n, [rng.randint(-9, 9) for _ in range(n)])
+        assert list(torsion_from_minor(minor, g, h).values) == \
+            torsion_closed_form(minor, g, h), (n, g, h, minor)
 
 
 def test_precondition_violation_reported():
