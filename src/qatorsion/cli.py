@@ -23,8 +23,8 @@ from .lattice import (GramLattice, LatticeError, build_catalog, c_bound,
                       catalog_from_json, catalog_to_json, m_invariant)
 from .pipeline import (FamilyRecord, PipelineAssertionError,
                        family_casson_walker, family_member, run_family)
-from .skein import (CrossingBudgetError, _check_budget, jones_polynomial,
-                    mullins_lambda)
+from .skein import (DEFAULT_CROSSING_BUDGET, CrossingBudgetError, _check_budget,
+                    jones_polynomial, mullins_lambda)
 from .tokens import parse_int
 from .torsion import DEFAULT_EPSILON
 
@@ -110,7 +110,7 @@ def _parser() -> _Parser:
     g = p_jones.add_mutually_exclusive_group(required=True)
     g.add_argument("--pd", help="PD code file")
     g.add_argument("--kanenobu", nargs=2, type=_int_option, metavar=("P", "Q"))
-    p_jones.add_argument("--budget", type=_int_option, default=24)
+    p_jones.add_argument("--budget", type=_int_option, default=DEFAULT_CROSSING_BUDGET)
 
     p_lambda = sub.add_parser("lambda", parents=[common], help="Casson-Walker invariant of the "
                                              "double branched cover of a diagram")

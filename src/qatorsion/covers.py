@@ -191,8 +191,10 @@ def white_graph_presentation(graph: WhiteGraph) -> BranchedCoverPresentation:
 def homology_invariants(pres: Presentation
                         ) -> tuple[list[int], tuple[int, ...] | None, int | None]:
     """Invariant factors of H_1 plus, when H_1 is finite cyclic of order N,
-    the generator images a_i -> t^{k_i} normalised so the last generator
-    with a unit image maps to t.
+    the generator images a_i -> t^{k_i}: normalised so the last generator
+    with a unit image maps to t, or, when no generator's image is a unit
+    (a1 -> t^3, a2 -> t^2 for <a1, a2 | a1^2, a2^3>), relative to the
+    Smith-form generator.
 
     Returns (factors > 1, images or None, N or None).  Raises
     HomologyNotFiniteError when H_1 is infinite.
@@ -217,15 +219,8 @@ def homology_invariants(pres: Presentation
     # sits at the position of n in diag
     pos = diag.index(n)
     raw = [u[pos][i] % n for i in range(pres.gens)]
-    unit = None
-    for i in range(pres.gens - 1, -1, -1):
-        if gcd(raw[i], n) == 1:
-            unit = i
-            break
-    if unit is None:
-        raise HomologyNotCyclicError(
-            "no single generator generates the cyclic homology group")
-    inv = pow(raw[unit], -1, n)
+    units = [x for x in raw if gcd(x, n) == 1]
+    inv = pow(units[-1], -1, n) if units else 1
     images = tuple((x * inv) % n for x in raw)
     return [n], images, n
 

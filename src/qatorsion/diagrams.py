@@ -9,19 +9,23 @@ edges of the shadow (segments between consecutive crossings, over or
 under); every label appears exactly twice.  A crossing is positive when
 the over-strand runs from slot 3 to slot 1.
 
-Faces are the orbits of the combinatorial map; quadrant k of a crossing
-(the corner between slots k and k+1) lies in a face, the colouring
-two-colours the faces, and the class containing the designated unbounded
-face is white.  All of this happens on the sphere, so invariants do not
-depend on which face is called unbounded; the generated diagrams carry the
-geometric choice anyway so that the white regions match the white graph
-they came from.
+Two walks build everything else.  The face walk traces the faces, the
+orbits of the combinatorial map (quadrant k of a crossing, the corner
+between slots k and k+1, lies in one face), and goes from each face to its
+neighbours across arcs, colouring neighbours apart; each walk from a new
+root covers one shadow component.  The class containing the designated
+unbounded face is white.  The strand walk follows each strand forward (a
+strand entering a crossing at slot k leaves at slot k+2), giving every arc
+its direction and every component its cycle of arcs.  All of this happens
+on the sphere, so invariants do not depend on which face is called
+unbounded; the generated diagrams carry the geometric choice anyway so
+that the white regions match the white graph they came from.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .covers import BOUNDARY, WhiteGraph, kanenobu_white_graph
 from .tokens import UNSIGNED
@@ -33,13 +37,55 @@ class DiagramError(ValueError):
     pass
 
 
+def _arc_ends(crossings: Sequence[Sequence[int]]) -> dict[int, list[End]]:
+    ends: dict[int, list[End]] = {}
+    for ci, c in enumerate(crossings):
+        for k, arc in enumerate(c):
+            ends.setdefault(arc, []).append((ci, k))
+    return ends
+
+
+def _walk_strands(crossings: Sequence[Sequence[int]], ends: dict[int, list[End]],
+                  seeds: Iterable[Sequence[End]]
+                  ) -> tuple[dict[int, tuple[End, End]], list[list[int]]]:
+    """The strand walk: from each seed (tail, head) whose arc is not yet
+    walked, follow the strand forward (entering a crossing at slot k, it
+    leaves at slot k+2) until it closes up.  Returns arc -> (tail, head)
+    and the component cycles, each from its seed arc."""
+    direction: dict[int, tuple[End, End]] = {}
+    cycles: list[list[int]] = []
+    for tail, head in seeds:
+        arc = crossings[tail[0]][tail[1]]
+        cycle = []
+        while arc not in direction:
+            direction[arc] = (tail, head)
+            cycle.append(arc)
+            tail = (head[0], (head[1] + 2) % 4)
+            arc = crossings[tail[0]][tail[1]]
+            a, b = ends[arc]
+            head = b if a == tail else a
+        if cycle:
+            cycles.append(cycle)
+    return direction, cycles
+
+
 class LinkDiagram:
     """An oriented link diagram.
 
     crossings: PD tuples.  free_loops: number of crossingless unknot
-    components in addition to the PD code.  The arc directions come from
-    the PD convention alone (the under-strand enters at slot 0), propagated
-    along strands; a component that is never an under-strand runs from the
+    components in addition to the PD code.  The constructor runs both
+    walks and keeps their results as attributes:
+
+    faces: each face as the set of its darts (crossing, slot), in the order
+      the face walk traced them.
+    face_of_quadrant: (c, k) -> index of the face holding quadrant k of
+      crossing c.
+    colors: per face, 1 = white (the class of the unbounded face), 0 = black.
+
+    The arc directions come from the PD convention alone: the strand walk
+    starts at each crossing's slot-0 arc, as incoming, and every crossing
+    must be entered there; then at each arc not yet walked, in sorted
+    order, so a component that is never an under-strand runs from the
     first end of its least arc.
     """
 
@@ -50,18 +96,19 @@ class LinkDiagram:
         self.free_loops = int(free_loops)
         if any(len(c) != 4 for c in self.crossings):
             raise DiagramError("every PD entry needs exactly 4 arc labels")
-        self._occurrences: dict[int, list[End]] = {}
-        for ci, c in enumerate(self.crossings):
-            for k, arc in enumerate(c):
-                self._occurrences.setdefault(arc, []).append((ci, k))
+        self._occurrences = _arc_ends(self.crossings)
         for arc, occ in self._occurrences.items():
             if len(occ) != 2:
                 raise DiagramError(f"arc {arc} appears {len(occ)} times, expected 2")
         self._unbounded_quadrant = unbounded_quadrant
-        self._shadows = self._count_shadows()
         self._trace_faces()
-        self._colors: list[int] | None = None
-        self._orientation = self._orient()
+        seeds = [(self.other_end((ci, 0)), (ci, 0)) for ci in range(self.n_crossings)]
+        self._direction, self._cycles = _walk_strands(
+            self.crossings, self._occurrences,
+            seeds + [self._occurrences[arc] for arc in self.arcs()])
+        for ci, c in enumerate(self.crossings):
+            if self._direction[c[0]][1] != (ci, 0):
+                raise DiagramError(f"inconsistent orientation at arc {c[0]}")
 
     # -- basic structure -----------------------------------------------------
 
@@ -83,181 +130,78 @@ class LinkDiagram:
             return self.free_loops <= 1
         return not self.free_loops and self._shadows == 1
 
-    def _count_shadows(self) -> int:
-        """Connected components of the shadow (crossings joined by arcs)."""
-        seen: set[int] = set()
-        count = 0
-        for start in range(len(self.crossings)):
-            if start in seen:
-                continue
-            count += 1
-            seen.add(start)
-            stack = [start]
-            while stack:
-                ci = stack.pop()
-                for k in range(4):
-                    cj, _ = self.other_end((ci, k))
-                    if cj not in seen:
-                        seen.add(cj)
-                        stack.append(cj)
-        return count
-
     # -- faces and colouring ---------------------------------------------------
 
-    def faces(self) -> list[frozenset[End]]:
-        """Faces as orbits of the map; quadrant (c, k) of a crossing lies in
-        face `face_of_quadrant()[(c, k)]`."""
-        return self._faces
-
-    def face_of_quadrant(self) -> dict[End, int]:
-        return self._face_of_quadrant
-
     def _trace_faces(self) -> None:
-        """Trace the faces, checking that every shadow component lies on
-        its own sphere: a connected map with c crossings has c + 2 faces
-        exactly when it is planar."""
-        darts = [(ci, k) for ci in range(len(self.crossings)) for k in range(4)]
-        face_id: dict[End, int] = {}
-        faces: list[frozenset[End]] = []
-        for start in darts:
-            if start in face_id:
+        """The face walk.  Each root dart starts a new shadow component,
+        and the component lies on its own sphere exactly when it has
+        c + 2 faces for its c crossings."""
+        face_of_dart: dict[End, int] = {}
+        self.faces: list[frozenset[End]] = []
+        self.colors: list[int] = []
+        self._shadows, proper = 0, True
+        for root in ((ci, k) for ci in range(self.n_crossings) for k in range(4)):
+            if root in face_of_dart:
                 continue
-            orbit = []
-            cur = start
-            while cur not in face_id:
-                face_id[cur] = len(faces)
-                orbit.append(cur)
-                nxt = self.other_end(cur)
-                cur = (nxt[0], (nxt[1] + 1) % 4)
-            faces.append(frozenset(orbit))
-        expected = len(self.crossings) + 2 * self._shadows
-        if len(faces) != expected:
+            self._shadows += 1
+            stack = [(root, 0)]
+            while stack:
+                dart, color = stack.pop()
+                if dart in face_of_dart:
+                    proper = proper and self.colors[face_of_dart[dart]] == color
+                    continue
+                orbit = []
+                while dart not in face_of_dart:
+                    face_of_dart[dart] = len(self.faces)
+                    orbit.append(dart)
+                    # dart (c, k+1) lies in the face across the arc at slot k
+                    stack.append(((dart[0], (dart[1] + 1) % 4), 1 - color))
+                    ci, k = self.other_end(dart)
+                    dart = (ci, (k + 1) % 4)
+                self.faces.append(frozenset(orbit))
+                self.colors.append(color)
+        expected = self.n_crossings + 2 * self._shadows
+        if len(self.faces) != expected:
             raise DiagramError(
-                f"face count {len(faces)} != crossings + 2 * shadow components "
+                f"face count {len(self.faces)} != crossings + 2 * shadow components "
                 f"= {expected}; the PD tuples do not describe a sphere diagram")
-        self._faces = faces
+        if not proper:
+            raise DiagramError("diagram faces are not 2-colourable")
         # quadrant k at crossing c (corner between slots k and k+1) lies in
         # the face orbit containing the dart (c, k+1)
-        self._face_of_quadrant = {
-            (ci, k): face_id[(ci, (k + 1) % 4)]
-            for ci in range(len(self.crossings)) for k in range(4)}
-
-    def checkerboard_colors(self) -> list[int]:
-        """Colour 1 = white (the class of the unbounded face), 0 = black."""
-        if self._colors is not None:
-            return self._colors
-        faces = self.faces()
-        fq = self.face_of_quadrant()
-        adj: list[set[int]] = [set() for _ in faces]
-        for ci in range(len(self.crossings)):
-            for k in range(4):
-                a, b = fq[(ci, k)], fq[(ci, (k + 1) % 4)]
-                adj[a].add(b)
-                adj[b].add(a)
-        colors = [-1] * len(faces)
-        for start in range(len(faces)):
-            if colors[start] != -1:
-                continue
-            colors[start] = 0
-            stack = [start]
-            while stack:
-                f = stack.pop()
-                for g in adj[f]:
-                    if colors[g] == -1:
-                        colors[g] = 1 - colors[f]
-                        stack.append(g)
-                    elif colors[g] == colors[f]:
-                        raise DiagramError("diagram faces are not 2-colourable")
-        unb = self.unbounded_face()
-        if colors[unb] == 0:
-            colors = [1 - c for c in colors]
-        self._colors = colors
-        return colors
+        self.face_of_quadrant = {
+            (ci, k): face_of_dart[(ci, (k + 1) % 4)]
+            for ci in range(self.n_crossings) for k in range(4)}
+        if self.faces and self.colors[self.unbounded_face()] == 0:
+            self.colors = [1 - c for c in self.colors]
 
     def unbounded_face(self) -> int:
         if not self.crossings:
             return 0
-        if self._unbounded_quadrant is not None:
-            return self.face_of_quadrant()[self._unbounded_quadrant]
-        return self.face_of_quadrant()[(0, 0)]
+        return self.face_of_quadrant[self._unbounded_quadrant or (0, 0)]
 
     def white_quadrants_are_even(self, ci: int) -> bool:
         """True when the white quadrant pair at crossing ci is {q0, q2}."""
-        colors = self.checkerboard_colors()
-        fq = self.face_of_quadrant()
-        c0 = colors[fq[(ci, 0)]]
-        c1 = colors[fq[(ci, 1)]]
+        c0 = self.colors[self.face_of_quadrant[(ci, 0)]]
+        c1 = self.colors[self.face_of_quadrant[(ci, 1)]]
         if c0 == c1:
             raise DiagramError(f"crossing {ci} has equal-colour adjacent quadrants")
         return c0 == 1
 
     # -- orientation ------------------------------------------------------------
 
-    def _orient(self) -> dict[int, tuple[End, End]]:
-        """Directions for every arc: arc -> (tail end, head end).
-
-        The PD convention forces the under-strand of each crossing to enter
-        at slot 0 and leave at slot 2; directions propagate along strands
-        (entering slot k exits slot k+2).  Components that are never an
-        under-strand get an arbitrary but deterministic direction.
-        """
-        direction: dict[int, tuple[End, End]] = {}
-        pending: list[tuple[int, End, End]] = []
-
-        def push(arc: int, tail: End, head: End) -> None:
-            pending.append((arc, tail, head))
-
-        def drain() -> None:
-            while pending:
-                arc, tail, head = pending.pop()
-                if arc in direction:
-                    if direction[arc] != (tail, head):
-                        raise DiagramError(f"inconsistent orientation at arc {arc}")
-                    continue
-                direction[arc] = (tail, head)
-                ci, k = head  # continue forward through the head crossing
-                out = (ci, (k + 2) % 4)
-                push(self.crossings[ci][out[1]], out, self.other_end(out))
-                ci, k = tail  # and backward through the tail crossing
-                inc = (ci, (k + 2) % 4)
-                push(self.crossings[ci][inc[1]], self.other_end(inc), inc)
-
-        for ci in range(len(self.crossings)):
-            push(self.crossings[ci][0], self.other_end((ci, 0)), (ci, 0))
-            drain()
-        for arc in self.arcs():
-            if arc not in direction:
-                a, b = self._occurrences[arc]
-                push(arc, a, b)
-                drain()
-        return direction
-
     def components(self) -> list[list[int]]:
         """Arc cycles of the oriented components (PD components only)."""
-        comps = []
-        seen: set[int] = set()
-        for arc in self.arcs():
-            if arc in seen:
-                continue
-            cyc = []
-            cur = arc
-            while cur not in seen:
-                seen.add(cur)
-                cyc.append(cur)
-                _, head = self._orientation[cur]
-                ci, k = head
-                cur = self.crossings[ci][(k + 2) % 4]
-            comps.append(cyc)
-        return comps
+        return self._cycles
 
     def n_components(self) -> int:
-        return len(self.components()) + self.free_loops
+        return len(self._cycles) + self.free_loops
 
     def crossing_sign(self, ci: int) -> int:
         """+1 when the over-strand runs slot 3 -> slot 1 (so the arc in
         slot 1 is outgoing)."""
         over_arc = self.crossings[ci][1]
-        return 1 if self._orientation[over_arc][0] == (ci, 1) else -1
+        return 1 if self._direction[over_arc][0] == (ci, 1) else -1
 
     def writhe(self) -> int:
         return sum(self.crossing_sign(ci) for ci in range(len(self.crossings)))
@@ -350,11 +294,6 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
     if n_edges == 0:
         return unknot_diagram()
 
-    rotations: dict[int | str, list[int]] = {}
-    for v in range(1, graph.vertices + 1):
-        rotations[v] = list(graph.cyclic[v - 1])
-    rotations[BOUNDARY] = list(graph.cyclic[graph.vertices])
-
     # Each edge-end id carries two crossing ports: L (counterclockwise side)
     # and R (clockwise side).  Port numbering per crossing e, with d the
     # end at the first endpoint and dbar at the second:
@@ -370,7 +309,7 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
     # counterclockwise): connects L(e_i) to R(e_{i+1}).
     arc_of_port: dict[End, int] = {}
     arc_label = 0
-    for v, rot in rotations.items():
+    for rot in graph.cyclic:
         m = len(rot)
         for i in range(m):
             e_cur, e_nxt = rot[i], rot[(i + 1) % m]
@@ -382,39 +321,17 @@ def white_graph_diagram(graph: WhiteGraph) -> LinkDiagram:
 
     raw = [[arc_of_port[(e, k)] for k in range(4)] for e in range(n_edges)]
 
-    # Components and directions on the shadow (enter slot k, exit k+2)
-    occurrences: dict[int, list[End]] = {}
-    for e in range(n_edges):
-        for k in range(4):
-            occurrences.setdefault(raw[e][k], []).append((e, k))
-    direction: dict[int, tuple[End, End]] = {}
-    for start_arc in sorted(occurrences):
-        if start_arc in direction:
-            continue
-        tail, head = occurrences[start_arc]
-        cur, t, h = start_arc, tail, head
-        while cur not in direction:
-            direction[cur] = (t, h)
-            ci, k = h
-            out = (ci, (k + 2) % 4)
-            cur = raw[ci][out[1]]
-            a, b = occurrences[cur]
-            t, h = (out, b if a == out else a)
-
-    # Rotate each crossing so the under-strand's incoming port is slot 0.
-    # Sign +1: over-diagonal = {slot 0, slot 2} of the raw numbering
-    # (the R(d)-R(dbar) strand); sign -1: the L-diagonal {1, 3}.
-    crossings: list[tuple[int, int, int, int]] = []
-    rotation_of: list[int] = []
-    for e in range(n_edges):
-        sign = graph.edges[e][2]
-        over_slots = (0, 2) if sign == 1 else (1, 3)
-        under_slots = (1, 3) if sign == 1 else (0, 2)
-        under_in = next(s for s in under_slots
+    # Rotate each crossing so the under-strand's incoming port is slot 0:
+    # the strand walk directs the shadow, then sign +1 puts the over-strand
+    # on the R(d)-R(dbar) diagonal {0, 2} of the raw numbering, so the
+    # under-strand takes {1, 3}; sign -1 swaps the two.
+    ends = _arc_ends(raw)
+    direction, _cycles = _walk_strands(raw, ends, (ends[arc] for arc in sorted(ends)))
+    rotation_of = [next(s for s in ((1, 3) if sign == 1 else (0, 2))
                         if direction[raw[e][s]][1] == (e, s))
-        rot = under_in
-        crossings.append(tuple(raw[e][(rot + k) % 4] for k in range(4)))
-        rotation_of.append(rot)
+                   for e, (_a, _b, sign) in enumerate(graph.edges)]
+    crossings = [tuple(raw[e][(rot + k) % 4] for k in range(4))
+                 for e, rot in enumerate(rotation_of)]
 
     # The unbounded face: the white region of the boundary vertex.  Its
     # corner at any boundary edge e (with the boundary vertex as second

@@ -109,13 +109,16 @@ def family_parameters(offset: int, n: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def family_casson_walker(offset: int) -> Fraction:
-    """Casson-Walker invariant of the double branched covers in the family,
-    computed once on the small member (p, q) = (0, offset + 3).
+    """Casson-Walker invariant of the double branched cover of K_{0, offset+3}.
 
-    Valid for every n because sliding (p, q) -> (p+1, q-1) preserves the
-    Jones polynomial (checked exactly on small members by the test suite),
-    the signature vanishes for these ribbon knots, and the surgery formula
-    only sees V and sigma.
+    Sliding (p, q) -> (p+1, q-1) preserves the Jones polynomial (checked
+    exactly on small members by the test suite), the signature vanishes for
+    these ribbon knots, and the surgery formula only sees V and sigma, so
+    this is the invariant of every K_{p,q} with p + q = offset + 3.  Family
+    members have p + q = 3, so it is theirs only for offset 0; for offset
+    j >= 1 it is not (ROADMAP item 4a, pinned by the strict xfail
+    `test_family_lambda_is_lambda_of_its_member`), and the d values built
+    on it read 4j/25 too high.
 
     The value is a pure function of the offset, so it is computed once per
     offset per process and then served from a cache.  A test that patches

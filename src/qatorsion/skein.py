@@ -208,11 +208,11 @@ def _goeritz_data(diagram: LinkDiagram,
     """
     drop = diagram.unbounded_face()
     index = {f: i for i, f in enumerate(
-        f for f, c in enumerate(diagram.checkerboard_colors()) if c == 1 and f != drop)}
+        f for f, c in enumerate(diagram.colors) if c == 1 and f != drop)}
     size = len(index)
     g = [[0] * size for _ in range(size)]
     correction = 0
-    fq = diagram.face_of_quadrant()
+    fq = diagram.face_of_quadrant
     for ci in range(len(diagram.crossings)):
         m = 1 if multiplicity is None else multiplicity[ci]
         even_white = diagram.white_quadrants_are_even(ci)

@@ -752,6 +752,94 @@ def kauffman_bracket_naive(diagram: LinkDiagram) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
+# PD orientation, components and shadow components by separate walks (a
+# push/drain orienter and a shadow DFS), the references for the diagram's
+# strand and face walks
+# ---------------------------------------------------------------------------
+
+def _pd_other_end(crossings) -> dict[End, End]:
+    """Each end (crossing, slot) -> the other end of its arc."""
+    ends: dict[int, list[End]] = {}
+    for ci, c in enumerate(crossings):
+        for k, arc in enumerate(c):
+            ends.setdefault(arc, []).append((ci, k))
+    return {x: y for a, b in ends.values() for x, y in ((a, b), (b, a))}
+
+
+def push_drain_orientation(crossings) -> dict[int, tuple[End, End]]:
+    """Arc -> (tail end, head end).  Each crossing's slot-0 arc is pushed as
+    incoming, then each arc not yet directed, in sorted order, from its
+    first end; draining the stack propagates every direction forward and
+    backward along strands (entering slot k exits slot k+2), and a second,
+    different direction for an arc raises the diagram's DiagramError."""
+    other_end = _pd_other_end(crossings)
+    direction: dict[int, tuple[End, End]] = {}
+    pending: list[tuple[int, End, End]] = []
+
+    def drain() -> None:
+        while pending:
+            arc, tail, head = pending.pop()
+            if arc in direction:
+                if direction[arc] != (tail, head):
+                    raise DiagramError(f"inconsistent orientation at arc {arc}")
+                continue
+            direction[arc] = (tail, head)
+            ci, k = head  # continue forward through the head crossing
+            out = (ci, (k + 2) % 4)
+            pending.append((crossings[ci][out[1]], out, other_end[out]))
+            ci, k = tail  # and backward through the tail crossing
+            inc = (ci, (k + 2) % 4)
+            pending.append((crossings[ci][inc[1]], other_end[inc], inc))
+
+    for ci in range(len(crossings)):
+        pending.append((crossings[ci][0], other_end[(ci, 0)], (ci, 0)))
+        drain()
+    for arc in sorted({x for c in crossings for x in c}):
+        if arc not in direction:
+            first = min(end for end in other_end if crossings[end[0]][end[1]] == arc)
+            pending.append((arc, first, other_end[first]))
+            drain()
+    return direction
+
+
+def directed_components(crossings, direction) -> list[list[int]]:
+    """Arc cycles of the components, each from its least arc."""
+    comps = []
+    seen: set[int] = set()
+    for arc in sorted(direction):
+        cyc = []
+        while arc not in seen:
+            seen.add(arc)
+            cyc.append(arc)
+            ci, k = direction[arc][1]
+            arc = crossings[ci][(k + 2) % 4]
+        if cyc:
+            comps.append(cyc)
+    return comps
+
+
+def shadow_components(crossings) -> int:
+    """Connected components of the shadow (crossings joined by arcs)."""
+    other_end = _pd_other_end(crossings)
+    seen: set[int] = set()
+    count = 0
+    for start in range(len(crossings)):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            ci = stack.pop()
+            for k in range(4):
+                cj, _ = other_end[(ci, k)]
+                if cj not in seen:
+                    seen.add(cj)
+                    stack.append(cj)
+    return count
+
+
+# ---------------------------------------------------------------------------
 # Jones polynomial
 # ---------------------------------------------------------------------------
 
@@ -1231,8 +1319,8 @@ def goeritz_invariants_black(diagram: LinkDiagram) -> tuple[int, int]:
     sign * eta = +1."""
     if diagram.n_crossings == 0:
         return 1, 0
-    colors = diagram.checkerboard_colors()
-    fq = diagram.face_of_quadrant()
+    colors = diagram.colors
+    fq = diagram.face_of_quadrant
     index = {f: i for i, f in enumerate(
         [f for f, c in enumerate(colors) if c == 0][1:])}
     g = [[0] * len(index) for _ in index]

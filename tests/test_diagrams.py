@@ -1,17 +1,21 @@
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import qatorsion
 from qatorsion.covers import BOUNDARY, WhiteGraph, kanenobu_white_graph
-from qatorsion.diagrams import (DiagramError, LinkDiagram, kanenobu_diagram,
-                                parity_reduced_diagram, unknot_diagram,
-                                white_graph_diagram)
+from qatorsion.diagrams import (DiagramError, LinkDiagram, _cycle_normal,
+                                kanenobu_diagram, parity_reduced_diagram,
+                                unknot_diagram, white_graph_diagram)
 
-from oracles import braid_closure, figure_eight_diagram, pd_text, torus_knot_diagram
+from oracles import (braid_closure, directed_components, figure_eight_diagram,
+                     pd_text, push_drain_orientation, shadow_components,
+                     torus_knot_diagram)
 
 
 def test_arc_labels_must_appear_twice():
@@ -23,14 +27,14 @@ def test_face_count_euler():
     for d in [braid_closure([1], 2), braid_closure([1, 1, 1], 2),
               figure_eight_diagram(), torus_knot_diagram(3, 5),
               kanenobu_diagram(0, 3)]:
-        assert len(d.faces()) == d.n_crossings + 2
+        assert len(d.faces) == d.n_crossings + 2
 
 
 def test_checkerboard_colors_proper():
     for d in [braid_closure([1, 1, 1], 2), figure_eight_diagram(),
               kanenobu_diagram(2, -1)]:
-        colors = d.checkerboard_colors()
-        fq = d.face_of_quadrant()
+        colors = d.colors
+        fq = d.face_of_quadrant
         for ci in range(d.n_crossings):
             for k in range(4):
                 assert colors[fq[(ci, k)]] != colors[fq[(ci, (k + 1) % 4)]]
@@ -100,7 +104,7 @@ def test_split_diagram_has_two_faces_per_extra_piece():
     trefoil = braid_closure([1, 1, 1], 2)
     shifted = [tuple(a + 100 for a in c) for c in trefoil.crossings]
     split = LinkDiagram(trefoil.crossings + tuple(shifted))
-    assert split.n_crossings == 6 and len(split.faces()) == 10
+    assert split.n_crossings == 6 and len(split.faces) == 10
     assert not split.is_connected()
     assert LinkDiagram(trefoil.crossings, free_loops=1).n_components() == 2
 
@@ -142,8 +146,8 @@ def test_white_graph_connectivity_does_not_depend_on_the_hash_seed():
 def test_generated_diagram_faces_match_white_regions():
     graph = kanenobu_white_graph(-1, 2)
     d = white_graph_diagram(graph)
-    colors = d.checkerboard_colors()
-    whites = [f for f in range(len(d.faces())) if colors[f] == 1]
+    colors = d.colors
+    whites = [f for f in range(len(d.faces)) if colors[f] == 1]
     # one white region per graph vertex plus the unbounded one
     assert len(whites) == graph.vertices + 1
 
@@ -185,22 +189,17 @@ def test_generated_link_orientation_invariants(graph_data, want):
             jones_polynomial(d).to_string()) == want
 
 
-def test_parity_reduced_diagram_lifts_to_the_full_goeritz_data():
-    # random plane rotation systems with weighted edges; for knots the
-    # lifted determinant and signature equal the full diagram's, for links
-    # (whose components each diagram orients on its own) the determinant
-    import random
-
-    from qatorsion.skein import goeritz_invariants
-    rng = random.Random(7)
-    seen = {1: 0, 2: 0}
-    while min(seen.values()) < 40:
-        k = rng.randint(1, 3)
+def random_plane_white_graphs(rng, max_vertices, max_weight):
+    """Random rotation systems on 1..max_vertices bounded vertices with one
+    to five edges of weight +-1..+-max_weight; yields (graph, diagram) for
+    those that build a diagram (planar and connected)."""
+    while True:
+        k = rng.randint(1, max_vertices)
         verts = list(range(1, k + 1)) + [BOUNDARY]
         edges = []
         for _ in range(rng.randint(1, 5)):
             a, b = rng.sample(verts, 2)
-            edges.append((a, b, rng.choice((-1, 1)) * rng.randint(1, 6)))
+            edges.append((a, b, rng.choice((-1, 1)) * rng.randint(1, max_weight)))
         ends = {v: [] for v in verts}
         for e, (a, b, _w) in enumerate(edges):
             ends[a].append(2 * e)
@@ -208,11 +207,24 @@ def test_parity_reduced_diagram_lifts_to_the_full_goeritz_data():
         cyclic = tuple(tuple(rng.sample(ends[v], len(ends[v]))) for v in verts)
         try:
             graph = WhiteGraph(vertices=k, edges=tuple(edges), cyclic=cyclic)
-            full = white_graph_diagram(graph)
+            diagram = white_graph_diagram(graph)
         except (DiagramError, ValueError):
             continue  # not planar, or disconnected
+        yield graph, diagram
+
+
+def test_parity_reduced_diagram_lifts_to_the_full_goeritz_data():
+    # random plane rotation systems with weighted edges; for knots the
+    # lifted determinant and signature equal the full diagram's, for links
+    # (whose components each diagram orients on its own) the determinant
+    from qatorsion.skein import goeritz_invariants
+    graphs = random_plane_white_graphs(random.Random(7), max_vertices=3, max_weight=6)
+    seen = {1: 0, 2: 0}
+    while min(seen.values()) < 40:
+        graph, full = next(graphs)
         if not full.is_connected():
             continue
+        edges = graph.edges
         reduced, multiplicity = parity_reduced_diagram(graph)
         assert reduced.n_crossings == sum(2 - abs(w) % 2 for _a, _b, w in edges)
         assert sum(multiplicity) == full.n_crossings
@@ -224,3 +236,45 @@ def test_parity_reduced_diagram_lifts_to_the_full_goeritz_data():
         else:
             assert got[0] == want[0], graph
         seen[min(full.n_components(), 2)] += 1
+
+
+def test_strand_and_face_walks_match_the_separate_walks():
+    # the PD tuples of seeded random plane white graphs, as generated and
+    # with one to three crossings rotated by 1..3 slots, each also beside
+    # the previous case as a split diagram, against the push/drain
+    # orienter and the shadow DFS: same directions, components and shadow
+    # count, or the same refusal
+    rng = random.Random(24)
+    graphs = random_plane_white_graphs(rng, max_vertices=4, max_weight=3)
+    outcomes = Counter()
+    previous = []
+    for _ in range(2000):
+        _graph, generated = next(graphs)
+        rotated = list(generated.crossings)
+        for ci in rng.sample(range(len(rotated)), min(len(rotated), rng.randint(1, 3))):
+            r = rng.randint(1, 3)
+            rotated[ci] = rotated[ci][r:] + rotated[ci][:r]
+        for tuples in (list(generated.crossings), rotated):
+            shift = 1 + max(max(c) for c in tuples)
+            split = [tuple(a + shift for a in c) for c in previous]
+            for crossings in (tuples, tuples + split):
+                try:
+                    want = push_drain_orientation(crossings)
+                except DiagramError as exc:
+                    with pytest.raises(DiagramError) as refused:
+                        LinkDiagram(crossings)
+                    assert str(refused.value) == str(exc), crossings
+                    outcomes["refused"] += 1
+                    continue
+                d = LinkDiagram(crossings)
+                comps = directed_components(crossings, want)
+                assert d._direction == want, crossings
+                assert d.n_components() == len(comps), crossings
+                assert (sorted(map(_cycle_normal, d.components()))
+                        == sorted(map(_cycle_normal, comps))), crossings
+                shadows = shadow_components(crossings)
+                assert d._shadows == shadows, crossings
+                assert len(d.faces) == d.n_crossings + 2 * shadows
+                outcomes[f"{shadows} shadows"] += 1
+        previous = generated.crossings
+    assert min(outcomes.values()) >= 500, outcomes

@@ -480,6 +480,15 @@ def test_cli_homology_refuses_an_assignment_that_keeps_a_relator(tmp_path, capsy
     assert code == 0 and out == "Z/3; a1->t a2->t\n"
 
 
+def test_cli_homology_without_a_generating_generator(tmp_path, capsys):
+    # H_1 = Z/2 + Z/3 = Z/6, but neither a1 (order 2) nor a2 (order 3)
+    # generates it: the images are read against the Smith-form generator
+    path = tmp_path / "pres.txt"
+    path.write_text("gens 2\na1 a1\na2 a2 a2\n")
+    code, out, _ = run_cli(capsys, "homology", "--pres", str(path))
+    assert code == 0 and out == "Z/6; a1->t^3 a2->t^2\n"
+
+
 @pytest.mark.parametrize("mods", [("5", "2"), ("2", "5")])
 def test_cli_presentation_with_two_assign_lines_is_rejected(tmp_path, capsys, mods):
     path = tmp_path / "pres.txt"
