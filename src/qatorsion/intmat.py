@@ -54,17 +54,23 @@ def _symmetric_bareiss(form: Sequence[Sequence[int]]) -> list[list[int]]:
     r = len(a)
     prev = 1
     for k in range(r):
-        pivot, row = a[k][k], a[k]
-        if not pivot:
-            if not _place_pivot(a, k):
-                return a
-            pivot, row = a[k][k], a[k]
-        for i in range(k + 1, r):
-            below, c = a[i], row[i]
-            for j in range(i, r):
-                below[j] = (pivot * below[j] - c * row[j]) // prev
-        prev = pivot
+        if not a[k][k] and not _place_pivot(a, k):
+            return a
+        _bareiss_step(a, a, k, prev)
+        prev = a[k][k]
     return a
+
+
+def _bareiss_step(a: list[list[int]], out: list[list[int]], k: int, prev: int) -> None:
+    """Step k + 1 of the elimination: `a` holds the form after k steps
+    (upper triangle), whose pivot a[k][k] is nonzero, and prev = Delta_k.
+    Rows k + 1.. of `out`, which may be `a`, get their values after
+    k + 1 steps."""
+    pivot, row = a[k][k], a[k]
+    for i in range(k + 1, len(a)):
+        above, below, c = a[i], out[i], row[i]
+        for j in range(i, len(a)):
+            below[j] = (pivot * above[j] - c * row[j]) // prev
 
 
 def _place_pivot(a: list[list[int]], k: int) -> bool:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qatorsion import lattice
-from qatorsion.intmat import _symmetric_bareiss, det_bareiss, identity
+from qatorsion.intmat import (_bareiss_step, _symmetric_bareiss, det_bareiss,
+                              identity)
 from qatorsion.lattice import (CATALOG_CONDITION, MAX_COMPLETE_RANK,
                                UNIT_CONDITION, CBound, GramLattice,
                                LatticeError, _adjugate, _isometry_key,
@@ -399,10 +400,13 @@ def test_enumeration_equals_the_pairwise_dedupe():
 
 def test_sign_normalised_scan_keeps_the_unpruned_representatives():
     # The oracle eliminates every filling, so it also checks that solving
-    # for the last entry finds every value that gives the determinant.  The
-    # pairwise oracle is too slow at rank 4 for these determinants.
+    # for the last entry finds every value that gives the determinant, and
+    # that the Delta prune skips no filling that passes.  The pairwise
+    # oracle is too slow at rank 4 for these determinants.
     cases = [(rank, disc) for rank in (2, 3) for disc in range(1, 31)]
-    cases += [(4, disc) for disc in (16, 20, 24, 25, 27)]
+    # D = 30 and 28 are where the Delta prune cuts the most rank-4 fillings
+    # (70 and 65; D = 29 ties 28 with fewer classes).
+    cases += [(4, disc) for disc in (16, 20, 24, 25, 27, 28, 30)]
     for rank, disc in cases:
         got = [lat.gram for lat in enumerate_definite_lattices(rank, disc)]
         want = [lat.gram for lat in unpruned_definite_lattices(rank, disc)]
@@ -410,10 +414,62 @@ def test_sign_normalised_scan_keeps_the_unpruned_representatives():
     # a rank-3 filling of the D = 4 scan whose last entry (1, 2) has two
     # roots, both inside its range [-1, 1]
     filling = [[2, -1, -1], [-1, 2, 0], [-1, 0, 2]]
-    assert lattice._last_entry_roots(filling, 4) == [0, 1]
+    rows = _symmetric_bareiss(filling)
+    assert lattice._last_entry_roots(rows[0][0], rows[1][2], rows[2][2], 4) == [0, 1]
     for v in (0, 1):
         filling[1][2] = filling[2][1] = v
         assert det_bareiss(filling) == 4
+
+
+def test_carried_steps_give_the_minors_of_the_full_elimination():
+    # The scan's bookkeeping on random forms, zero and negative leading
+    # minors included: steps[i] is the form after i steps with the entries
+    # of rows >= i read as 0 off the diagonal, row i's entries enter as
+    # Delta_i v, and one step carries it on once row i is set.
+    rng = random.Random(25)
+    seen = set()
+    for _ in range(500):
+        r = rng.randint(2, 6)
+        form = [[0] * r for _ in range(r)]
+        for i in range(r):
+            form[i][i] = rng.randint(-1, 4)
+            for j in range(i + 1, r):
+                form[i][j] = form[j][i] = rng.randint(-2, 2)
+        steps = [[[form[a][b] if a == b else 0 for b in range(r)] for a in range(r)]
+                 for _ in range(r - 1)]
+        minors = [1]  # Delta_0, Delta_1, ...
+        for i in range(r - 1):
+            if i:
+                _bareiss_step(steps[i - 1], steps[i], i - 1, minors[i - 1])
+            q0 = steps[i][i][i + 1]  # at i = r - 2, the last entry's q0
+            for j in range(i + 1, r):
+                steps[i][i][j] += minors[i] * form[i][j]
+            minors.append(steps[i][i][i])
+            if not minors[-1]:
+                break  # the scan prunes before it divides by a zero minor
+        for k, minor in enumerate(minors):
+            assert minor == det_bareiss([row[:k] for row in form[:k]]), form
+        seen.update((minor > 0) - (minor < 0) for minor in minors)
+        if 0 in minors:
+            continue
+        # every leading minor is nonzero: no pivot is replaced
+        full = _symmetric_bareiss(form)
+        assert minors == [1] + [full[k][k] for k in range(r - 1)], form
+        lead, b = minors[r - 2], steps[r - 2]
+        det0 = (b[r - 2][r - 2] * b[r - 1][r - 1] - q0 * q0) // lead
+        zeroed = [row[:] for row in form]
+        zeroed[r - 2][r - 1] = zeroed[r - 1][r - 2] = 0
+        rows = _symmetric_bareiss(zeroed)
+        assert (q0, det0) == (rows[r - 2][r - 1], rows[r - 1][r - 1]), form
+        disc = full[-1][-1]
+        assert disc == (b[r - 2][r - 2] * b[r - 1][r - 1] - b[r - 2][r - 1] ** 2) // lead
+        if lead > 0:
+            roots = lattice._last_entry_roots(lead, q0, det0, disc)
+            assert form[r - 2][r - 1] in roots and roots == sorted(roots), form
+            for v in roots:
+                zeroed[r - 2][r - 1] = zeroed[r - 1][r - 2] = v
+                assert det_bareiss(zeroed) == disc, form
+    assert seen == {-1, 0, 1}
 
 
 def test_catalog_classes_obey_the_sign_rule():
@@ -506,7 +562,8 @@ def test_build_catalog25_skips_sign_copies(monkeypatch):
     # every sign of every off-diagonal entry took 27,219 eliminations and
     # 413 isometry tests; the sign rule with one elimination per value of
     # the last entry 5,441 and 49, solving for the last entry 2,202 and 49;
-    # splitting <-1> off, with each rank enumerated once, 1,470 and 47
+    # splitting <-1> off, with each rank enumerated once, 1,470 and 47;
+    # carrying the elimination down the fill, one per leaf, 221 and 47
     counts = {"_symmetric_bareiss": 0, "lattices_isometric": 0}
 
     def counted(name):
@@ -520,7 +577,7 @@ def test_build_catalog25_skips_sign_copies(monkeypatch):
     for name in counts:
         monkeypatch.setattr(lattice, name, counted(name))
     assert len(build_catalog(25)) == 20
-    assert counts["_symmetric_bareiss"] <= 1500, counts
+    assert counts["_symmetric_bareiss"] <= 250, counts
     assert counts["lattices_isometric"] <= 50, counts
 
 

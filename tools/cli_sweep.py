@@ -63,7 +63,7 @@ def invocations() -> list[list[str]]:
             runs += [f + [command, "--n", str(n)] for n in range(4)]
         runs += [f + ["verdict", "--n", str(n), "--catalog", "catalog_d25.json"]
                  for n in range(13)]
-        for d in (1, 2, 3, 4, 5, 8, 12):
+        for d in (1, 2, 3, 4, 5, 8, 12, 16, 25, 27):
             runs += [f + ["catalog", "--det", str(d)], f + ["cbound", "--det", str(d)]]
         runs += [f + ["cbound", "--det", "25", "--catalog", "catalog_d25.json"]]
         runs += [f + ["jones", "--kanenobu", str(p), str(q)]
