@@ -250,6 +250,33 @@ def cyclotomic_poly_oracle(m: int) -> list[Fraction]:
     return q
 
 
+@lru_cache(maxsize=None)
+def _zeta_power_traces(d: int) -> tuple[Fraction, ...]:
+    """Tr_{Q(zeta_d)/Q}(zeta_d^m) for m = 0..d-1, as the trace of
+    multiplication by x^m on Q[x]/Phi_d: the sum over the power basis x^i
+    of the x^i coefficient of x^(i+m) mod Phi_d."""
+    phi = cyclotomic_poly_oracle(d)
+    deg = len(phi) - 1
+    powers, cur = [], [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    for _ in range(d + deg):
+        powers.append(cur)
+        lead = cur[-1]
+        # times x; Phi_d is monic, so the x^deg term lead becomes -lead (Phi_d - x^deg)
+        cur = [Fraction(0)] + cur[:-1]
+        cur = [c - lead * p for c, p in zip(cur, phi)]
+    return tuple(sum(powers[i + m][i] for i in range(deg)) for m in range(d))
+
+
+def ramanujan_matrix_dense(n: int) -> list[list[Fraction]]:
+    """The dense reconstruction matrix: n times the inverse of
+    x -> (phi_d(x))_{d | n}, row k, column (d, i) of the stacked
+    power-basis coordinates holding Tr(zeta_d^(i - k)), zeros included."""
+    columns = [(d, i) for d in range(1, n + 1) if n % d == 0
+               for i in range(len(cyclotomic_poly_oracle(d)) - 1)]
+    return [[_zeta_power_traces(d)[(i - k) % d] for d, i in columns]
+            for k in range(n)]
+
+
 def poly_inverse_mod(a, modulus):
     """Inverse of a mod a rational polynomial, by extended Euclid."""
     r0, s0 = [Fraction(x) for x in modulus], []

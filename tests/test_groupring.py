@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qatorsion.groupring import (CyclotomicNumber, GroupRingElem,
-                                 cyclotomic_polynomial, divisor_levels,
-                                 euler_phi, phi_at_divisor,
+                                 _reconstruction_matrix, cyclotomic_polynomial,
+                                 divisor_levels, euler_phi, phi_at_divisor,
                                  phi_reconstruct_divisors)
 
 from oracles import (brute_convolution, cyclotomic_from_rational,
-                     phi_component, phi_decompose, phi_reconstruct)
+                     phi_component, phi_decompose, phi_reconstruct,
+                     ramanujan_matrix_dense)
 
 N = 25
 
@@ -134,6 +135,39 @@ def test_general_modulus_decomposition_round_trip():
         for _ in range(5):
             x = rand_elem(rng, n=n)
             assert phi_reconstruct_divisors(phi_decompose(x), n) == x
+
+
+def test_round_trip_of_every_t_power_is_exact():
+    # == also accepts an equal float, so check the types too
+    for n in range(1, 41):
+        for k in range(n):
+            x = GroupRingElem.t_power(n, k)
+            components = phi_decompose(x)
+            assert all(type(c) is int for z in components.values() for c in z.coords)
+            back = phi_reconstruct_divisors(components, n)
+            assert back == x
+            assert all(type(c) in (int, Fraction) for c in back.coeffs), (n, k)
+
+
+def test_sparse_reconstruction_rows_match_the_dense_ramanujan_matrix():
+    rng = random.Random(9)
+    for n in range(1, 61):
+        dense = ramanujan_matrix_dense(n)
+        sparse = _reconstruction_matrix(n)
+        assert len(sparse) == len(dense) == n
+        for row, pairs in zip(dense, sparse):
+            assert all(c != 0 for _col, c in pairs)
+            expanded = [0] * len(row)
+            for col, c in pairs:
+                expanded[col] = c
+            assert expanded == row, n
+        x = rand_elem(rng, n=n)
+        components = phi_decompose(x)
+        stacked = [c for d in divisor_levels(n) for c in components[d].coords]
+        assert list(phi_reconstruct_divisors(components, n).coeffs) == [
+            sum(a * b for a, b in zip(row, stacked)) / n for row in dense]
+    assert sum(map(len, _reconstruction_matrix(25))) == 225
+    assert {len(row) for row in _reconstruction_matrix(25)} == {9}
 
 
 def test_cyclotomic_inverse():

@@ -734,6 +734,20 @@ def _integral_minor(request):
         assert all(type(c) is int for c in minor.coeffs + closed.coeffs)
 
 
+def _cyclotomic_components(request):
+    from qatorsion.covers import kanenobu_minor_closed_form
+    from qatorsion.groupring import CyclotomicNumber, phi_at_divisor
+    for d in (5, 25):
+        one = CyclotomicNumber.one(d)
+        powers = [CyclotomicNumber.zeta_power(d, g) for g in (13, 3, 6, 1)]
+        factors = [z - one for z in powers]
+        for n in range(4):
+            component = phi_at_divisor(kanenobu_minor_closed_form(n), d)
+            values = [one, component, *powers, *factors]
+            values += [f * h * component for f in factors for h in factors]
+            assert all(type(c) is int for z in values for c in z.coords)
+
+
 def _coset_search(request):
     from qatorsion import lattice
     for lat in request.getfixturevalue("catalog25_session")[0]:
@@ -751,6 +765,7 @@ def _goeritz(request):
 # each exact integer path, and the modules whose Fraction it must not call
 NO_FRACTION_PATHS = {
     "integral minor": (_integral_minor, ("covers", "foxcalc", "groupring")),
+    "cyclotomic components": (_cyclotomic_components, ("covers", "groupring")),
     "coset search": (_coset_search, ("lattice",)),
     "goeritz": (_goeritz, ("intmat", "skein")),
 }

@@ -52,6 +52,7 @@ LITERAL_FILES = {
 
 GENERATED = [(0, 3), (-1, 4), (2, -1), (-3, 6), (1, 1)]
 BOTH = ("text", "json")
+LARGE_N = (40, 325, 650, 1000)
 
 
 def invocations() -> list[list[str]]:
@@ -63,6 +64,10 @@ def invocations() -> list[list[str]]:
             runs += [f + [command, "--n", str(n)] for n in range(4)]
         runs += [f + ["verdict", "--n", str(n), "--catalog", "catalog_d25.json"]
                  for n in range(13)]
+        # the large-coefficient minors of the benchmark's family_deep rungs
+        for n in LARGE_N:
+            runs += [f + ["torsion", "--n", str(n)], f + ["dinv", "--n", str(n)],
+                     f + ["verdict", "--n", str(n), "--catalog", "catalog_d25.json"]]
         for d in (1, 2, 3, 4, 5, 8, 12, 16, 25, 27):
             runs += [f + ["catalog", "--det", str(d)], f + ["cbound", "--det", str(d)]]
         runs += [f + ["cbound", "--det", "25", "--catalog", "catalog_d25.json"]]
