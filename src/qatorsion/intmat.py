@@ -1,10 +1,10 @@
 """Exact integer matrix utilities.
 
-Smith normal form with unimodular transforms, Bareiss determinants, and
-the package's one fraction-free elimination of a symmetric form, whose
-pivots give its determinant, its signature and whether it is positive
-definite.  Everything is list-of-lists over int; matrices in this package
-are small (rank <= a few dozen), so clarity beats asymptotics.
+Smith normal form with unimodular transforms, and the package's one
+fraction-free (Bareiss) elimination of a symmetric form, whose pivots give
+its determinant, its signature and whether it is positive definite.
+Everything is list-of-lists over int; matrices in this package are small
+(rank <= a few dozen), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -14,29 +14,6 @@ from collections.abc import Sequence
 
 def identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def det_bareiss(m) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _symmetric_bareiss(form: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -8,17 +8,18 @@ discriminant, the lower-bound constant C(D), and the
 not-quasi-alternating verdict record.
 
 Everything is exact and runs on one integer matrix, the adjugate
-adj = det(G) G^{-1}.  A characteristic covector chi (chi_i = G_ii mod 2, in
-dual-basis coordinates) has D (-chi^2) = +-chi^T adj chi, an integer, and
-two of them lie in the same coset mod 2G Z^r exactly when adj chi agrees
-mod 2D, D = |det G|.  The search finds the least D (-chi^2) of every coset
-by enumerating every characteristic chi with D (-chi^2) <= R for
-R = 0, 1, 4, 16, ... until all D labels are seen: from then on every coset
-has a vector within R, so its least value is among those enumerated.  R
-never needs to pass D sum |G_ij|, a provable radius: x = G^{-1} chi moves
-by 2Z^r into the cube [-1, 1)^r, where -chi^2 = -x^T G x <= sum |G_ij|.
-The search makes no Fraction; only m itself is one,
-(rank D - the largest least value) / (4D).
+adj = D (-G)^{-1} of the positive form -G, D = det(-G), from one
+fraction-free Gauss-Jordan pass.  A characteristic covector chi
+(chi_i = G_ii mod 2, in dual-basis coordinates) has D (-chi^2) =
+chi^T adj chi, an integer, and two of them lie in the same coset mod
+2G Z^r exactly when adj chi agrees mod 2D.  The search finds the least
+D (-chi^2) of every coset by enumerating every characteristic chi with
+D (-chi^2) <= R for R = 0, 1, 4, 16, ... until all D labels are seen:
+from then on every coset has a vector within R, so its least value is
+among those enumerated.  R never needs to pass D sum |G_ij|, a provable
+radius: x = G^{-1} chi moves by 2Z^r into the cube [-1, 1)^r, where
+-chi^2 = -x^T G x <= sum |G_ij|.  The search makes no Fraction; only m
+itself is one, (rank D - the largest least value) / (4D).
 
 m adds over orthogonal sums.  The characteristic cosets of L1 + L2 are
 the pairs of cosets of L1 and L2, and chi^2 and the rank add, so each
@@ -34,7 +35,7 @@ table, each distinct block computed once per call.  No table outlives the
 call that made it.  Of the D = 25 catalog only <-25> is searched.
 
 The ellipsoid search is the Fincke-Pohst enumeration, on integers.  Every
-form it is given is integral (-G, or +-adj) with an integer radius.  One
+form it is given is integral (-G or adj) with an integer radius.  One
 fraction-free elimination, intmat._symmetric_bareiss, factors it: its
 pivots are the leading minors Delta_k, and with its rows u_k and Delta_0 = 1,
 N Q(x) = sum_k c_k (Delta_k x_k + S_k)^2 with S_k = sum_{i>k} u_ki x_i,
@@ -42,8 +43,8 @@ N the lcm of the products Delta_{k-1} Delta_k and c_k = N / (Delta_{k-1}
 Delta_k).  So each level's term is an integer, compared with an integer
 remaining radius, and its candidates are exactly the x_k with
 |Delta_k x_k + S_k| <= isqrt(remaining // c_k).  The same elimination
-checks definiteness in GramLattice and in the catalog scan, and its last
-pivot is the discriminant.
+checks definiteness in GramLattice, where its last pivot is the
+discriminant, and the catalog scan carries its steps down each filling.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .intmat import _bareiss_step, _symmetric_bareiss, det_bareiss
+from .intmat import _bareiss_step, _symmetric_bareiss, identity
 from .records import Record
 
 
@@ -210,12 +211,25 @@ def enumerate_in_ellipsoid(form: Sequence[Sequence[int]], radius: int,
 # ---------------------------------------------------------------------------
 
 def _adjugate(g: Sequence[Sequence[int]]) -> list[list[int]]:
-    """adj(G) = det(G) G^{-1}, entry (i, j) the signed minor of G without
-    row j and column i."""
+    """adj(-G) = det(-G) (-G)^{-1} of a negative definite G, from one
+    fraction-free Gauss-Jordan pass over [-G | I] (Bareiss 1968): step k
+    sets each row i != k to (p a_i - a_ik a_k) / prev, p = a_kk and prev
+    the pivot before it.  Every entry stays a minor of [-G | I] (Sylvester's
+    identity; Cramer's rule in the rows already pivoted), so each division
+    is exact, and the pivots are the leading minors of -G, all positive, so
+    none is searched for.  The left block ends as det(-G) I and the right
+    one as adj(-G), which is positive definite too."""
     r = len(g)
-    return [[(-1) ** (i + j) * det_bareiss([[g[a][b] for b in range(r) if b != i]
-                                            for a in range(r) if a != j])
-             for j in range(r)] for i in range(r)]
+    a = [[-x for x in row] + unit for row, unit in zip(g, identity(r))]
+    prev = 1
+    for k in range(r):
+        pivot_row, pivot = a[k], a[k][k]
+        for i in range(r):
+            if i != k:
+                row, c = a[i], a[i][k]
+                a[i] = [(pivot * x - c * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return [row[r:] for row in a]
 
 
 # m costs Omega(D), since every one of the D characteristic cosets gets its
@@ -241,13 +255,11 @@ def _check_m_disc(disc: int) -> None:
 
 
 def _least_char_squares(lattice: GramLattice) -> dict[tuple[int, ...], int]:
-    """For every characteristic coset, labelled by adj(G) chi mod 2D, the
+    """For every characteristic coset, labelled by adj(-G) chi mod 2D, the
     least D (-chi^2) over the coset, a non-negative integer.  Refuses to
     enumerate more than MAX_M_VECTORS vectors over all radius steps."""
     g, r, disc = lattice.gram, lattice.rank, lattice.disc
     adj = _adjugate(g)  # symmetric, so these rows are also its columns
-    sign = (-1) ** (r + 1)  # sign * adj = D (-G^{-1}) is positive definite
-    form = [[sign * x for x in row] for row in adj]
     cube = disc * sum(abs(x) for row in g for x in row)
     parity = [g[i][i] % 2 for i in range(r)]
     modulus = 2 * disc
@@ -256,7 +268,7 @@ def _least_char_squares(lattice: GramLattice) -> dict[tuple[int, ...], int]:
     while True:
         least: dict[tuple[int, ...], int] = {}
         get = least.get
-        for visited, chi in enumerate(enumerate_in_ellipsoid(form, radius, parity),
+        for visited, chi in enumerate(enumerate_in_ellipsoid(adj, radius, parity),
                                       visited + 1):
             if visited > MAX_M_VECTORS:
                 raise LatticeError(
@@ -264,7 +276,7 @@ def _least_char_squares(lattice: GramLattice) -> dict[tuple[int, ...], int]:
                     f"MAX_M_VECTORS = {MAX_M_VECTORS} characteristic vectors, "
                     "the cap on computing m")
             image = [sum(map(mul, col, chi)) for col in adj]
-            q = sign * sum(map(mul, chi, image))
+            q = sum(map(mul, chi, image))
             label = tuple([x % modulus for x in image])
             if get(label, q + 1) > q:
                 least[label] = q
@@ -352,9 +364,8 @@ def m_invariant(lattice: GramLattice) -> Fraction:
 # Enumeration of definite lattices
 # ---------------------------------------------------------------------------
 
-# diagonal-product bounds for Minkowski-reduced positive forms of rank <= 4
-_REDUCTION_PRODUCT_BOUND = {0: Fraction(1), 1: Fraction(1), 2: Fraction(4, 3),
-                            3: Fraction(2), 4: Fraction(4)}
+# diagonal-product bounds for Minkowski-reduced positive forms of rank 2..4
+_REDUCTION_PRODUCT_BOUND = {2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4)}
 
 MAX_COMPLETE_RANK = 4
 
@@ -413,9 +424,9 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
     with its unset entries read as 0, is one step from steps[i-1], and a
     value v of row i adds Delta_i v to it.  Setting (i, i+1) fixes
     Delta_{i+2} = (Delta_{i+1} b_{i+1,i+1} - b_{i,i+1}^2) / Delta_i; when it
-    is not positive the subtree is skipped.  That is exact, as a positive
-    definite form has positive leading minors, so the leaf's elimination
-    rejects every filling below, and it keeps every divisor Delta_i positive.
+    is not positive the subtree is skipped.  That drops no class, as a
+    positive definite form has positive leading minors, and it keeps every
+    divisor Delta_i positive.
 
     The last position (r-2, r-1) is solved for instead of scanned.  With
     v = 0 there, steps[r-2] holds Delta_{r-1}, q0 = b_{r-2,r-1} and
@@ -423,9 +434,13 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
     Desnanot-Jacobi, det(v) Delta_{r-2} = Delta_{r-1} b - (q0 + Delta_{r-2}
     v)^2, gives det(v) = D exactly when (q0 + Delta_{r-2} v)^2 = q0^2 +
     Delta_{r-2} (det(0) - D): one isqrt, at most two values.  Those inside
-    the range [-half, top] go, in increasing order, through the full
-    elimination and the dedupe, as every value of the range did before, so
-    the representatives do not change.
+    the range [-half, top] go, in increasing order, to the dedupe, as every
+    value of the range did before, so the representatives do not change.
+
+    No leaf is eliminated again: the prune keeps Delta_1 .. Delta_{r-1}
+    positive and the solved entry gives Delta_r = D, so every leaf is
+    positive definite (Sylvester's criterion) with determinant D.  Rank 1
+    has the one form <D> and is not scanned.
     """
     if rank > MAX_COMPLETE_RANK:
         raise LatticeError(
@@ -434,6 +449,8 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
         raise LatticeError("need rank >= 0 and disc >= 1")
     if rank == 0:
         return [GramLattice.rank_zero()] if disc == 1 else []
+    if rank == 1:
+        return [GramLattice(((-disc,),))]
     classes = [GramLattice(((-1,) + (0,) * (rank - 1),)
                            + tuple((0,) + row for row in lat.gram))
                for lat in enumerate_definite_lattices(rank - 1, disc)]
@@ -462,9 +479,6 @@ def enumerate_definite_lattices(rank: int, disc: int) -> list[GramLattice]:
             # bit a of touched: an earlier position gave index a a nonzero
             # entry; until both i and j have one, (i, j) takes no v > 0
             if k == len(positions):
-                rows = _symmetric_bareiss(mat)
-                if rows[-1][-1] != disc or any(rows[k][k] <= 0 for k in range(rank)):
-                    return
                 neg = GramLattice(tuple(tuple(-x for x in row) for row in mat))
                 key = _isometry_key(neg)
                 if key[0]:
@@ -526,8 +540,10 @@ def _isometry_key(lattice: GramLattice) -> tuple[int, ...]:
 
 def lattices_isometric(a: GramLattice, b: GramLattice) -> bool:
     """Exact isometry test: map a's basis vectors, in order, to vectors of b
-    with the same norms and pairwise products, and accept a unimodular
-    choice.  b's short vectors are enumerated once and kept with b."""
+    with the same norms and pairwise products; b's short vectors are
+    enumerated once and kept with b.  A full choice V needs no unimodularity
+    check: V^T (-G_b) V = -G_a gives det(V)^2 disc(b) = disc(a), and the
+    discriminants are checked equal (and nonzero) first."""
     if a.rank != b.rank or a.disc != b.disc:
         return False
     r = a.rank
@@ -536,21 +552,18 @@ def lattices_isometric(a: GramLattice, b: GramLattice) -> bool:
     pos_a = [[-x for x in row] for row in a.gram]
     by_norm = b._short_vectors.within(max(pos_a[k][k] for k in range(r)))
     shells = [by_norm.get(pos_a[k][k], ()) for k in range(r)]
-    chosen: list[tuple[int, ...]] = []
     images: list[tuple[int, ...]] = []
 
     def extend(k: int) -> bool:
         if k == r:
-            return abs(det_bareiss([list(v) for v in chosen])) == 1
+            return True
         row = pos_a[k]
         for v, image in shells[k]:
             if any(sum(map(mul, v, images[i])) != row[i] for i in range(k)):
                 continue
-            chosen.append(v)
             images.append(image)
             if extend(k + 1):
                 return True
-            chosen.pop()
             images.pop()
         return False
 

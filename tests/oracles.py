@@ -26,7 +26,7 @@ from qatorsion.foxcalc import (FreeWord, Letter, Presentation, Relator, gen,
 from qatorsion.groupring import (CyclotomicNumber, GroupRingElem, divisor_levels,
                                  euler_phi, phi_at_divisor,
                                  phi_reconstruct_divisors)
-from qatorsion.intmat import _symmetric_bareiss, det_bareiss, smith_normal_form
+from qatorsion.intmat import _symmetric_bareiss, smith_normal_form
 from qatorsion import lattice as lattice_module
 from qatorsion.lattice import GramLattice, LatticeError
 from qatorsion.laurent import Laurent
@@ -482,7 +482,7 @@ def brute_m_invariant(lattice) -> Fraction:
 
 
 def coset_square_maxima(lattice: GramLattice) -> dict[tuple[int, ...], Fraction]:
-    """For every characteristic coset, labelled by adj(G) chi mod 2D, the
+    """For every characteristic coset, labelled by adj(-G) chi mod 2D, the
     maximum of chi^2 over the coset (a negative rational, or 0 for the
     empty lattice), from the package's integer search over the whole,
     unsplit Gram matrix."""
@@ -557,7 +557,7 @@ def fraction_enumerate_in_ellipsoid(form, radius: Fraction, parity=None):
 
 
 # ---------------------------------------------------------------------------
-# Recursive determinant (Laplace expansion)
+# Determinants: Laplace expansion, and elimination over Q for larger matrices
 # ---------------------------------------------------------------------------
 
 def det_laplace(m) -> int:
@@ -573,6 +573,26 @@ def det_laplace(m) -> int:
         minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
         total += (-1) ** j * m[0][j] * det_laplace(minor)
     return total
+
+
+def det_fraction(m) -> int:
+    """Determinant of a square integer matrix by Gaussian elimination over
+    Q, swapping in the first row below with a nonzero entry at a zero
+    pivot."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +712,8 @@ def unpruned_definite_lattices(rank: int, disc: int) -> list:
     member, sorted by Gram matrix."""
     if rank == 0:
         return [GramLattice.rank_zero()] if disc == 1 else []
-    bound = lattice_module._REDUCTION_PRODUCT_BOUND[rank] * disc
+    # c_1 = 1: the package reads rank 1 off directly and keeps no bound for it
+    bound = lattice_module._REDUCTION_PRODUCT_BOUND.get(rank, 1) * disc
     buckets: dict = {}
 
     def diag_scan(i, diag, prod):
@@ -1367,7 +1388,7 @@ def goeritz_invariants_black(diagram: LinkDiagram) -> tuple[int, int]:
         if i is not None and j is not None:
             g[i][j] -= eta
             g[j][i] -= eta
-    return abs(det_bareiss(g)), symmetric_signature(g) - correction
+    return abs(det_fraction(g)), symmetric_signature(g) - correction
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qatorsion.intmat import (_symmetric_bareiss, det_bareiss, identity,
-                              smith_normal_form)
+from qatorsion.intmat import _symmetric_bareiss, identity, smith_normal_form
 
-from oracles import det_laplace, mat_mul, symmetric_signature, transpose
+from oracles import (det_fraction, det_laplace, mat_mul, symmetric_signature,
+                     transpose)
 
 
 def twist_family_matrix(n):
@@ -18,8 +18,8 @@ def twist_family_matrix(n):
 
 def check_snf(m):
     diag, u, v = smith_normal_form(m)
-    assert abs(det_bareiss(u)) == 1
-    assert abs(det_bareiss(v)) == 1
+    assert abs(det_laplace(u)) == 1
+    assert abs(det_laplace(v)) == 1
     prod = mat_mul(mat_mul(u, m), v)
     for i in range(len(m)):
         for j in range(len(m[0]) if m else 0):
@@ -61,7 +61,7 @@ def test_snf_random_and_det_product():
             prod = 1
             for d in diag:
                 prod *= d
-            assert prod == abs(det_bareiss(m))
+            assert prod == abs(det_laplace(m))
 
 
 def test_snf_diagonal_products_are_gcds_of_minors():
@@ -93,11 +93,20 @@ def test_snf_diagonal_products_are_gcds_of_minors():
 
 
 def test_det_matches_laplace():
+    # det_fraction, the oracle for determinants too large for Laplace
+    # expansion, against Laplace expansion; a symmetric matrix's also against
+    # the last pivot of the package's elimination where no leading minor is 0
     rng = random.Random(14)
     for _ in range(60):
         n = rng.randint(0, 5)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert det_bareiss(m) == det_laplace(m)
+        assert det_fraction(m) == det_laplace(m), m
+        sym = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        assert det_fraction(sym) == det_laplace(sym), sym
+        if all(det_laplace([row[:k] for row in sym[:k]]) for k in range(1, n)):
+            assert _elimination_invariants(sym)[0] == det_laplace(sym), sym
+    assert det_fraction([[0, 1], [1, 0]]) == -1
+    assert det_fraction([[0, 0], [1, 0]]) == 0
 
 
 def _elimination_invariants(form):
@@ -113,7 +122,7 @@ def test_signature_basics():
                       ([[0, 1], [1, 0]], 0), ([[1, 0], [0, 1]], 2),
                       ([[0, 0], [0, 0]], 0), ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], 0)):
         assert symmetric_signature(form) == sig
-        assert _elimination_invariants(form) == (det_bareiss(form), sig)
+        assert _elimination_invariants(form) == (det_laplace(form), sig)
 
 
 def test_signature_e8():
@@ -126,7 +135,7 @@ def test_signature_e8():
           [0, 0, 0, 0, 0, -1, 2, 0],
           [0, 0, 0, 0, -1, 0, 0, 2]]
     assert symmetric_signature(e8) == 8
-    assert det_bareiss(e8) == 1
+    assert det_laplace(e8) == 1
     assert symmetric_signature([[-x for x in row] for row in e8]) == -8
     assert _elimination_invariants(e8) == (1, 8)
     assert _elimination_invariants([[-x for x in row] for row in e8]) == (1, -8)
@@ -176,5 +185,5 @@ def _symmetric_forms(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(form=_symmetric_forms())
 def test_elimination_pivots_give_determinant_and_signature(form):
-    assert _elimination_invariants(form) == (det_bareiss(form),
+    assert _elimination_invariants(form) == (det_laplace(form),
                                              symmetric_signature(form))

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qatorsion import lattice
-from qatorsion.intmat import (_bareiss_step, _symmetric_bareiss, det_bareiss,
-                              identity)
+from qatorsion.intmat import _bareiss_step, _symmetric_bareiss, identity
 from qatorsion.lattice import (CATALOG_CONDITION, MAX_COMPLETE_RANK,
                                UNIT_CONDITION, CBound, GramLattice,
                                LatticeError, _adjugate, _isometry_key,
@@ -21,9 +21,9 @@ from qatorsion.lattice import (CATALOG_CONDITION, MAX_COMPLETE_RANK,
                                enumerate_in_ellipsoid, lattices_isometric,
                                m_invariant, qa_verdict)
 
-from oracles import (brute_coset_maxima, brute_m_invariant, char_cosets,
-                     coset_square_maxima, d_lens_oracle, diagonal,
-                     fraction_enumerate_in_ellipsoid, mat_mul,
+from oracles import (_cofactor_adjugate, brute_coset_maxima, brute_m_invariant,
+                     char_cosets, coset_square_maxima, d_lens_oracle, det_laplace,
+                     diagonal, fraction_enumerate_in_ellipsoid, mat_mul,
                      pairwise_definite_lattices, transpose,
                      unpruned_definite_lattices)
 
@@ -59,31 +59,51 @@ def test_elimination_rejects_forms_that_are_not_positive_definite():
 
 def test_disc_is_the_absolute_determinant(catalog25_session):
     for lat in list(catalog25_session[0]) + [NEG_E8]:
-        assert lat.disc == abs(det_bareiss(lat.gram)), lat.gram
+        assert lat.disc == abs(det_laplace(lat.gram)), lat.gram
     assert GramLattice.rank_zero().disc == 1
 
 
 def _label(lat, chi):
-    """The coset label adj(G) chi mod 2D that coset_square_maxima keys on."""
+    """The coset label adj(-G) chi mod 2D that coset_square_maxima keys on."""
     return tuple(sum(a * c for a, c in zip(row, chi)) % (2 * lat.disc)
                  for row in _adjugate(lat.gram))
 
 
 def _representative(lat, label):
-    """chi = G L / det G, a characteristic vector whose label is L."""
-    det = (-1) ** lat.rank * lat.disc
-    image = [sum(g * x for g, x in zip(row, label)) for row in lat.gram]
-    assert all(x % det == 0 for x in image)
-    return [x // det for x in image]
+    """chi = -G L / D, a characteristic vector whose label is L."""
+    image = [-sum(g * x for g, x in zip(row, label)) for row in lat.gram]
+    assert all(x % lat.disc == 0 for x in image)
+    return [x // lat.disc for x in image]
+
+
+def _tridiagonal(rank, diagonal_entry):
+    return [[diagonal_entry if i == j else int(abs(i - j) == 1) for j in range(rank)]
+            for i in range(rank)]
 
 
 def test_adjugate_is_det_times_inverse():
-    for lat in [diagonal([-2, -3]), NEG_E8,
-                GramLattice.from_rows([[-2, -1], [-1, -13]]),
-                GramLattice.from_rows([[-2, 1, 0], [1, -3, 1], [0, 1, -5]])]:
-        det = (-1) ** lat.rank * lat.disc
-        product = mat_mul(_adjugate(lat.gram), [list(row) for row in lat.gram])
-        assert product == [[det * x for x in row] for row in identity(lat.rank)]
+    # adj(-G) (-G) = D I, and adj(-G) is the cofactor oracle's, on small
+    # forms, -E8, random diagonally dominant forms of rank 5..8, -A16 and
+    # the D = 9701 form that MAX_M_DISC cites
+    rng = random.Random(28)
+    forms = [diagonal([-2, -3]).gram, NEG_E8.gram, [[-2, -1], [-1, -13]],
+             [[-2, 1, 0], [1, -3, 1], [0, 1, -5]], _tridiagonal(16, -2),
+             _tridiagonal(4, -10)]
+    for r in (5, 5, 6, 6, 7, 7, 8, 8):
+        g = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1, r):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+            g[i][i] = -sum(abs(x) for x in g[i]) - rng.randint(1, 4)
+        forms.append(g)
+    for gram in forms:
+        lat = GramLattice.from_rows(gram)
+        pos = [[-x for x in row] for row in gram]
+        adj = _adjugate(lat.gram)
+        assert adj == _cofactor_adjugate(pos)[0], gram
+        assert mat_mul(adj, pos) == [[lat.disc * x for x in row]
+                                     for row in identity(lat.rank)]
+    assert [GramLattice.from_rows(g).disc for g in forms[4:6]] == [17, 9701]
 
 
 def test_char_coset_counts():
@@ -336,13 +356,12 @@ def test_elimination_pivots_are_the_leading_minors(case):
     form = case[0]
     rows = _symmetric_bareiss(form)
     for k in range(1, len(form) + 1):
-        assert rows[k - 1][k - 1] == det_bareiss([row[:k] for row in form[:k]])
+        assert rows[k - 1][k - 1] == det_laplace([row[:k] for row in form[:k]])
 
 
 def test_integer_enumerator_matches_the_oracle_on_catalog_adjugates(catalog25_session):
     for lat in catalog25_session[0]:
-        sign = (-1) ** (lat.rank + 1)
-        form = [[sign * x for x in row] for row in _adjugate(lat.gram)]
+        form = _adjugate(lat.gram)
         parity = [lat.gram[i][i] % 2 for i in range(lat.rank)]
         for radius in (0, 5, 37, 200):
             for mask in (None, parity):
@@ -418,7 +437,7 @@ def test_sign_normalised_scan_keeps_the_unpruned_representatives():
     assert lattice._last_entry_roots(rows[0][0], rows[1][2], rows[2][2], 4) == [0, 1]
     for v in (0, 1):
         filling[1][2] = filling[2][1] = v
-        assert det_bareiss(filling) == 4
+        assert det_laplace(filling) == 4
 
 
 def test_carried_steps_give_the_minors_of_the_full_elimination():
@@ -448,7 +467,7 @@ def test_carried_steps_give_the_minors_of_the_full_elimination():
             if not minors[-1]:
                 break  # the scan prunes before it divides by a zero minor
         for k, minor in enumerate(minors):
-            assert minor == det_bareiss([row[:k] for row in form[:k]]), form
+            assert minor == det_laplace([row[:k] for row in form[:k]]), form
         seen.update((minor > 0) - (minor < 0) for minor in minors)
         if 0 in minors:
             continue
@@ -468,7 +487,7 @@ def test_carried_steps_give_the_minors_of_the_full_elimination():
             assert form[r - 2][r - 1] in roots and roots == sorted(roots), form
             for v in roots:
                 zeroed[r - 2][r - 1] = zeroed[r - 1][r - 2] = v
-                assert det_bareiss(zeroed) == disc, form
+                assert det_laplace(zeroed) == disc, form
     assert seen == {-1, 0, 1}
 
 
@@ -543,19 +562,20 @@ def test_build_catalog25_within_budget():
 
 
 def test_build_catalog25_runs_no_determinant_per_filling(monkeypatch):
-    # One elimination per filling decides definiteness and the determinant,
-    # which leaves det_bareiss to the unimodularity check of the isometry
-    # test (28,876 calls when the scan ran a determinant per filling, 413
-    # before it skipped sign copies).
-    calls = []
+    # The Delta prune and the solved last entry decide each filling, so the
+    # scan eliminates no filling itself: every elimination is a lattice's
+    # own (its disc and definiteness) or its short-vector search.  The scan
+    # ran a determinant per filling (28,876), then an elimination per leaf.
+    callers = []
 
-    def counted(m):
-        calls.append(1)
-        return det_bareiss(m)
+    def counted(form):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _symmetric_bareiss(form)
 
-    monkeypatch.setattr(lattice, "det_bareiss", counted)
+    monkeypatch.setattr(lattice, "_symmetric_bareiss", counted)
     assert len(build_catalog(25)) == 20
-    assert len(calls) <= 100, f"{len(calls)} det_bareiss calls"
+    assert callers and set(callers) <= {"__post_init__", "enumerate_in_ellipsoid"}, \
+        sorted(set(callers))
 
 
 def test_build_catalog25_skips_sign_copies(monkeypatch):
@@ -563,7 +583,9 @@ def test_build_catalog25_skips_sign_copies(monkeypatch):
     # 413 isometry tests; the sign rule with one elimination per value of
     # the last entry 5,441 and 49, solving for the last entry 2,202 and 49;
     # splitting <-1> off, with each rank enumerated once, 1,470 and 47;
-    # carrying the elimination down the fill, one per leaf, 221 and 47
+    # carrying the elimination down the fill, one per leaf, 221 and 47;
+    # no leaf elimination, as the Delta prune and the solved last entry
+    # decide it, and rank 1 read off directly, 140 and 47
     counts = {"_symmetric_bareiss": 0, "lattices_isometric": 0}
 
     def counted(name):
@@ -577,7 +599,7 @@ def test_build_catalog25_skips_sign_copies(monkeypatch):
     for name in counts:
         monkeypatch.setattr(lattice, name, counted(name))
     assert len(build_catalog(25)) == 20
-    assert counts["_symmetric_bareiss"] <= 250, counts
+    assert counts["_symmetric_bareiss"] <= 150, counts
     assert counts["lattices_isometric"] <= 50, counts
 
 

@@ -6,7 +6,7 @@ trees can be compared with one diff:
     PYTHONPATH=../parent/src python tools/cli_sweep.py old.json
     diff old.json new.json
 
-The input files (PD codes, presentations, a Gram matrix and the reference
+The input files (PD codes, presentations, Gram matrices and the reference
 lattice catalog of perfbench/reference) are written to a temporary
 directory that the sweep runs in, so every argv names them by the same
 relative path whichever tree is imported.
@@ -50,6 +50,22 @@ LITERAL_FILES = {
     "indefinite.json": "[[1, 0], [0, -1]]\n",
 }
 
+
+def _tridiagonal(rank: int, diagonal: int) -> list[list[int]]:
+    return [[diagonal if i == j else int(abs(i - j) == 1) for j in range(rank)]
+            for i in range(rank)]
+
+
+# the chain 0 - 1 - ... - 6 with 7 joined to 4
+NEG_E8 = [[-2 if i == j else int(abs(i - j) == 1 and max(i, j) < 7 or {i, j} == {4, 7})
+           for j in range(8)] for i in range(8)]
+
+# Gram matrices whose m searches an adjugate of rank 4 to 8: -A4, -A8, -E8
+# and the rank-4 form of discriminant 9701 that MAX_M_DISC cites
+LITERAL_FILES.update({name: json.dumps(gram) + "\n" for name, gram in (
+    ("neg_a4.json", _tridiagonal(4, -2)), ("neg_a8.json", _tridiagonal(8, -2)),
+    ("neg_e8.json", NEG_E8), ("disc9701.json", _tridiagonal(4, -10)))})
+
 GENERATED = [(0, 3), (-1, 4), (2, -1), (-3, 6), (1, 1)]
 BOTH = ("text", "json")
 LARGE_N = (40, 325, 650, 1000)
@@ -70,6 +86,7 @@ def invocations() -> list[list[str]]:
                      f + ["verdict", "--n", str(n), "--catalog", "catalog_d25.json"]]
         for d in (1, 2, 3, 4, 5, 8, 12, 16, 25, 27):
             runs += [f + ["catalog", "--det", str(d)], f + ["cbound", "--det", str(d)]]
+        runs += [f + ["catalog", "--det", str(d)] for d in (60, 100, 200)]
         runs += [f + ["cbound", "--det", "25", "--catalog", "catalog_d25.json"]]
         runs += [f + ["jones", "--kanenobu", str(p), str(q)]
                  for p in range(-6, 7) for q in range(-6, 7)]
